@@ -54,7 +54,7 @@ from .objectives import (
     ranking_objective,
     regularizer,
 )
-from .optimize import EstimationReport, FitConfig, fit, fit_minibatch, fit_with_restarts
+from .optimize import EstimationReport, FitConfig, fit, fit_minibatch
 from .asymptotics import (
     CovarianceReport,
     ReplicationSummary,

@@ -6,7 +6,7 @@ the manifest). CSV outputs start with a `# manifest=<digest>` comment.
 
 Exit codes: 0 success, 2 validation error, 3 numeric error, 4 budget error.
 Logs are natural-log based throughout; perplexity uses the natural
-exponent. NCE_LAB_THREADS caps BLAS parallelism for the process.
+exponent.
 """
 
 from __future__ import annotations
@@ -46,23 +46,6 @@ from .sampling import (
 )
 
 COUNTEREXAMPLE_KS = (1, 2, 5, 10)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("NCE_LAB_THREADS")
-    if not cap:
-        return
-    try:
-        limit = max(1, int(cap))
-    except ValueError:
-        raise ValidationError(f"NCE_LAB_THREADS must be an integer, got {cap!r}")
-    os.environ.setdefault("OMP_NUM_THREADS", str(limit))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        pass
 
 
 def tabular_noise(problem: ConditionalProblem, spec: str) -> NoiseDistribution:
@@ -218,7 +201,7 @@ def cmd_fit(args) -> int:
 
 def cmd_counterexample(args) -> int:
     manifest = _manifest(args, "counterexample")
-    rows = []
+    rows, reports = [], []
     with Stopwatch() as watch:
         problem = counterexample_problem()
         noise = NoiseDistribution.uniform(2)
@@ -236,6 +219,7 @@ def cmd_counterexample(args) -> int:
                 FitConfig(objective="population-ranking", k=k, tol=args.tol,
                           max_iters=args.max_iters, seed=args.seed),
             )
+            reports += [binary, ranking]
             cond_b = cond_prob(sf, binary.theta, 0)
             cond_r = cond_prob(sf, ranking.theta, 0)
             ratio_b = cond_b[0] / cond_b[1]
@@ -268,6 +252,12 @@ def cmd_counterexample(args) -> int:
     print(
         "counterexample reproduced: binary pins the conditional ratio at 3/7, "
         "ranking recovers 1/3 (truth), for K in {1,2,5,10}"
+    )
+    converged = sum(r.converged for r in reports)
+    stalled = sum(r.stalled for r in reports)
+    print(
+        f"fits: {converged} of {len(reports)} converged, {stalled} stalled in the line "
+        f"search, largest final |g| {max(r.grad_norm for r in reports):.3e} (tol {args.tol:g})"
     )
     return 0
 
@@ -531,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, OSError) as exc:

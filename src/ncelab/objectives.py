@@ -6,8 +6,17 @@ Conventions:
 * The shifted score is shat(x,y) = s(x,y;theta) - log p_N(y); the binary
   classifier's logit is stilde = shat - gamma - log K, so the positive
   class probability is g = sigmoid(stilde).
-* Per-example terms are reduced with numpy's fixed-order (pairwise)
-  summation, so results do not depend on thread count.
+* Each objective has one ``*_value_grad`` function that builds the score
+  table, the candidate gather and the softmax once and returns
+  (value, gradient); the ``*_objective`` / ``*_gradient`` names project it.
+* Ranking and MLE reduce per-example terms with numpy's fixed-order
+  (pairwise) summation. The sampled binary objective depends on the data
+  only through how often each cell (x, y) is a positive and a negative,
+  so it is a weighted sum over the (m_x, m_y) count tables of
+  ``Dataset.tables`` divided by n; population-binary is the same kernel
+  with weights p_xy and K p_x p_N. Every reduction is a numpy sum over
+  arrays whose shape and order depend only on the inputs, so results do
+  not depend on the thread count.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -76,118 +85,133 @@ class RegularizerConfig:
             raise ValidationError(f"regularizer m must be >= 1, got {self.m}")
 
 
-def _require_nonempty(dataset: Dataset) -> None:
-    if dataset.n == 0:
-        raise ValidationError("dataset is empty")
-
-
 def _shifted_table(sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribution) -> np.ndarray:
     if noise.size != sf.m_y:
         raise ValidationError(f"noise size {noise.size} != label count {sf.m_y}")
     return sf.score_table(theta) - noise.log_probs[None, :]
 
 
-def _candidate_labels(dataset: Dataset) -> np.ndarray:
-    """(n, K+1) label matrix with the observed label in slot 0."""
-    return np.concatenate([dataset.y[:, None], dataset.negatives], axis=1)
-
-
-def _table_weights_to_grad(
-    sf: ScoringFunction, theta: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-    weights: np.ndarray,
+def _scatter_grad(
+    sf: ScoringFunction, theta: np.ndarray, index: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Scatter per-(x,y) weights into an (m_x, m_y) table and backprop."""
-    flat = np.bincount(
-        rows.ravel() * sf.m_y + cols.ravel(),
-        weights=weights.ravel(),
-        minlength=sf.m_x * sf.m_y,
-    )
+    """Sum per-candidate weights into the (m_x, m_y) table by flat cell index and backprop."""
+    flat = np.bincount(index.ravel(), weights=weights.ravel(), minlength=sf.m_x * sf.m_y)
     return sf.accumulate_grad(theta, flat.reshape(sf.m_x, sf.m_y))
+
+
+def _lse_and_softmax(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp and softmax weights of a (rows, candidates) gather.
+
+    One shared exp pass that rounds exactly like scipy's logsumexp (the
+    row maxima split off, log1p of the rest) and exp(log_softmax): the
+    fits' line searches compare values at the float-noise floor, so other
+    roundings of the same sums change their iteration counts.
+    """
+    a_max = cand.max(axis=1, keepdims=True)
+    shifted = cand - a_max
+    e = np.exp(shifted)
+    log_sum = np.log(e.sum(axis=1, keepdims=True))
+    is_max = shifted == 0.0
+    m = is_max.sum(axis=1, keepdims=True)
+    e[is_max] = 0.0
+    lse = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + a_max
+    shifted -= log_sum
+    return lse[:, 0], np.exp(shifted, out=shifted)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValidationError(f"K must be >= 1, got {k}")
 
 
 # --------------------------------------------------------------------------
 # sampled objectives
 
 
+def ranking_value_grad(
+    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
+) -> tuple[float, np.ndarray]:
+    """Mean log-probability of ranking the true label above its negatives, and its gradient."""
+    index = dataset.tables(sf.m_x, sf.m_y).index
+    theta = check_params(theta, sf.n_params)
+    cand = _shifted_table(sf, theta, noise).ravel()[index]
+    lse, q = _lse_and_softmax(cand)
+    coeff = -q
+    coeff[:, 0] += 1.0
+    value = float(np.mean(cand[:, 0] - lse))
+    return value, _scatter_grad(sf, theta, index, coeff) / dataset.n
+
+
+def _binary_value_grad(
+    sf: ScoringFunction,
+    bp: BinaryParams,
+    noise: NoiseDistribution,
+    k: int,
+    w_pos: np.ndarray,
+    w_neg: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """sum_{x,y} w_pos log g + w_neg log(1 - g) and its gradient in (theta, gamma)."""
+    theta = check_params(bp.theta, sf.n_params)
+    stilde = _shifted_table(sf, theta, noise) - bp.gamma - np.log(k)
+    value = float((w_pos * log_expit(stilde)).sum() + (w_neg * log_expit(-stilde)).sum())
+    sig = expit(stilde)
+    weights = w_pos * (1.0 - sig) - w_neg * sig
+    return value, np.concatenate([sf.accumulate_grad(theta, weights), [-float(weights.sum())]])
+
+
+def binary_value_grad(
+    sf: ScoringFunction, bp: BinaryParams, dataset: Dataset, noise: NoiseDistribution
+) -> tuple[float, np.ndarray]:
+    """Mean log-likelihood of classifying true pairs vs K noise pairs, and its
+    gradient in (theta, gamma); the last coordinate is d/dgamma."""
+    tables = dataset.tables(sf.m_x, sf.m_y)
+    return _binary_value_grad(
+        sf, bp, noise, dataset.k, tables.positives / dataset.n, tables.negatives / dataset.n
+    )
+
+
+def mle_value_grad(
+    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset
+) -> tuple[float, np.ndarray]:
+    """Mean log softmax probability of the observed labels (negatives ignored), and its gradient."""
+    counts = dataset.tables(sf.m_x, sf.m_y).positives
+    theta = check_params(theta, sf.n_params)
+    log_p = log_softmax(sf.score_table(theta), axis=1)
+    weights = counts - counts.sum(axis=1)[:, None] * np.exp(log_p)
+    value = float(np.mean(log_p[dataset.x, dataset.y]))
+    return value, sf.accumulate_grad(theta, weights) / dataset.n
+
+
 def ranking_objective(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
 ) -> float:
-    """Mean log-probability of ranking the true label above its negatives."""
-    _require_nonempty(dataset)
-    dataset.check_bounds(sf.m_x, sf.m_y)
-    shat = _shifted_table(sf, theta, noise)
-    cand = shat[dataset.x[:, None], _candidate_labels(dataset)]
-    return float(np.mean(cand[:, 0] - logsumexp(cand, axis=1)))
+    return ranking_value_grad(sf, theta, dataset, noise)[0]
 
 
 def ranking_gradient(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
 ) -> np.ndarray:
-    _require_nonempty(dataset)
-    dataset.check_bounds(sf.m_x, sf.m_y)
-    theta = check_params(theta, sf.n_params)
-    shat = _shifted_table(sf, theta, noise)
-    labels = _candidate_labels(dataset)
-    cand = shat[dataset.x[:, None], labels]
-    w = np.exp(log_softmax(cand, axis=1))
-    coeff = -w
-    coeff[:, 0] += 1.0
-    rows = np.broadcast_to(dataset.x[:, None], labels.shape)
-    return _table_weights_to_grad(sf, theta, rows, labels, coeff) / dataset.n
+    return ranking_value_grad(sf, theta, dataset, noise)[1]
 
 
 def binary_objective(
     sf: ScoringFunction, bp: BinaryParams, dataset: Dataset, noise: NoiseDistribution
 ) -> float:
-    """Mean log-likelihood of classifying true pairs vs K noise pairs."""
-    _require_nonempty(dataset)
-    dataset.check_bounds(sf.m_x, sf.m_y)
-    stilde = _shifted_table(sf, bp.theta, noise) - bp.gamma - np.log(dataset.k)
-    pos = log_expit(stilde[dataset.x, dataset.y])
-    neg = log_expit(-stilde[dataset.x[:, None], dataset.negatives])
-    return float(np.mean(pos + neg.sum(axis=1)))
+    return binary_value_grad(sf, bp, dataset, noise)[0]
 
 
 def binary_gradient(
     sf: ScoringFunction, bp: BinaryParams, dataset: Dataset, noise: NoiseDistribution
 ) -> np.ndarray:
-    """Gradient in (theta, gamma); the last coordinate is d/dgamma."""
-    _require_nonempty(dataset)
-    dataset.check_bounds(sf.m_x, sf.m_y)
-    theta = check_params(bp.theta, sf.n_params)
-    stilde = _shifted_table(sf, theta, noise) - bp.gamma - np.log(dataset.k)
-    pos_coeff = 1.0 - expit(stilde[dataset.x, dataset.y])
-    neg_coeff = -expit(stilde[dataset.x[:, None], dataset.negatives])
-    rows = np.concatenate(
-        [dataset.x[:, None], np.broadcast_to(dataset.x[:, None], dataset.negatives.shape)],
-        axis=1,
-    )
-    cols = _candidate_labels(dataset)
-    coeff = np.concatenate([pos_coeff[:, None], neg_coeff], axis=1)
-    theta_grad = _table_weights_to_grad(sf, theta, rows, cols, coeff) / dataset.n
-    gamma_grad = -float(coeff.sum()) / dataset.n
-    return np.concatenate([theta_grad, [gamma_grad]])
+    return binary_value_grad(sf, bp, dataset, noise)[1]
 
 
 def mle_objective(sf: ScoringFunction, theta: np.ndarray, dataset: Dataset) -> float:
-    """Mean log softmax probability of the observed labels (negatives ignored)."""
-    _require_nonempty(dataset)
-    dataset.check_bounds(sf.m_x, sf.m_y)
-    log_p = log_softmax(sf.score_table(theta), axis=1)
-    return float(np.mean(log_p[dataset.x, dataset.y]))
+    return mle_value_grad(sf, theta, dataset)[0]
 
 
 def mle_gradient(sf: ScoringFunction, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-    _require_nonempty(dataset)
-    dataset.check_bounds(sf.m_x, sf.m_y)
-    theta = check_params(theta, sf.n_params)
-    counts = np.bincount(
-        dataset.x * sf.m_y + dataset.y, minlength=sf.m_x * sf.m_y
-    ).reshape(sf.m_x, sf.m_y)
-    row_counts = counts.sum(axis=1)
-    probs = np.exp(log_softmax(sf.score_table(theta), axis=1))
-    weights = counts - row_counts[:, None] * probs
-    return sf.accumulate_grad(theta, weights) / dataset.n
+    return mle_value_grad(sf, theta, dataset)[1]
 
 
 # --------------------------------------------------------------------------
@@ -244,6 +268,35 @@ def _check_population_budget(terms: int, what: str) -> None:
         )
 
 
+def population_ranking_value_grad(
+    sf: ScoringFunction,
+    theta: np.ndarray,
+    problem: ConditionalProblem,
+    noise: NoiseDistribution,
+    k: int,
+) -> tuple[float, np.ndarray]:
+    """Exact expected ranking objective and its gradient, enumerating all
+    m_x * m_y**(K+1) candidate tuples (within the term budget)."""
+    _check_k(k)
+    _check_population_budget(problem.m_x * problem.m_y ** (k + 1), "ranking objective")
+    theta = check_params(theta, sf.n_params)
+    shat = _shifted_table(sf, theta, noise)
+    log_pyx = np.log(problem.p_y_given_x)
+    total = 0.0
+    table = np.zeros((problem.m_x, problem.m_y))
+    for block in _tuple_chunks(problem.m_y, k + 1):
+        log_noise_mass = noise.log_probs[block[:, 1:]].sum(axis=1)
+        for x in range(problem.m_x):
+            cand = shat[x, block]
+            lse, q = _lse_and_softmax(cand)
+            w = np.exp(np.log(problem.p_x[x]) + log_pyx[x, block[:, 0]] + log_noise_mass)
+            total += float(w @ (cand[:, 0] - lse))
+            coeff = -w[:, None] * q
+            coeff[:, 0] += w
+            table[x] += np.bincount(block.ravel(), weights=coeff.ravel(), minlength=problem.m_y)
+    return total, sf.accumulate_grad(theta, table)
+
+
 def population_ranking_objective(
     sf: ScoringFunction,
     theta: np.ndarray,
@@ -256,29 +309,17 @@ def population_ranking_objective(
 ):
     """Expected ranking objective under the data and noise distributions.
 
-    mode="exact" enumerates all m_x * m_y**(K+1) candidate tuples (within
-    the term budget) and returns a float. mode="mc" averages num_samples
-    simulated tuples and returns a PopulationEstimate(value, stderr).
+    mode="exact" is the value of population_ranking_value_grad, a float.
+    mode="mc" averages num_samples simulated tuples and returns a
+    PopulationEstimate(value, stderr).
     """
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
-    shat = _shifted_table(sf, theta, noise)
-    log_pyx = np.log(problem.p_y_given_x)
+    _check_k(k)
     if mode == "exact":
-        _check_population_budget(problem.m_x * problem.m_y ** (k + 1), "ranking objective")
-        log_pn = noise.log_probs
-        total = 0.0
-        for block in _tuple_chunks(problem.m_y, k + 1):
-            log_noise_mass = log_pn[block[:, 1:]].sum(axis=1)
-            for x in range(problem.m_x):
-                cand = shat[x, block]
-                terms = cand[:, 0] - logsumexp(cand, axis=1)
-                log_w = np.log(problem.p_x[x]) + log_pyx[x, block[:, 0]] + log_noise_mass
-                total += float(np.exp(log_w) @ terms)
-        return total
+        return population_ranking_value_grad(sf, theta, problem, noise, k)[0]
     if mode == "mc":
         if num_samples is None or num_samples < 2:
             raise ValidationError("monte-carlo mode needs num_samples >= 2")
+        shat = _shifted_table(sf, theta, noise)
         rng = derive_rng(seed, 3)
         x, labels = _simulate_tuples(problem, noise, k, num_samples, rng)
         cand = shat[x[:, None], labels]
@@ -300,6 +341,20 @@ def _simulate_tuples(problem, noise, k, size, rng):
     return x, np.concatenate([y0[:, None], negs], axis=1)
 
 
+def population_binary_value_grad(
+    sf: ScoringFunction,
+    bp: BinaryParams,
+    problem: ConditionalProblem,
+    noise: NoiseDistribution,
+    k: int,
+) -> tuple[float, np.ndarray]:
+    """Expected binary objective and its gradient; exact, a sum over X x Y
+    with positive weights p_xy and negative weights K p_x p_N."""
+    _check_k(k)
+    w_neg = k * problem.p_x[:, None] * noise.probs[None, :]
+    return _binary_value_grad(sf, bp, noise, k, problem.p_xy, w_neg)
+
+
 def population_ranking_gradient(
     sf: ScoringFunction,
     theta: np.ndarray,
@@ -307,27 +362,7 @@ def population_ranking_gradient(
     noise: NoiseDistribution,
     k: int,
 ) -> np.ndarray:
-    """Exact gradient of the population ranking objective."""
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
-    _check_population_budget(problem.m_x * problem.m_y ** (k + 1), "ranking gradient")
-    theta = check_params(theta, sf.n_params)
-    shat = _shifted_table(sf, theta, noise)
-    log_pyx = np.log(problem.p_y_given_x)
-    log_pn = noise.log_probs
-    table = np.zeros((problem.m_x, problem.m_y))
-    for block in _tuple_chunks(problem.m_y, k + 1):
-        log_noise_mass = log_pn[block[:, 1:]].sum(axis=1)
-        for x in range(problem.m_x):
-            cand = shat[x, block]
-            q = np.exp(log_softmax(cand, axis=1))
-            w = np.exp(np.log(problem.p_x[x]) + log_pyx[x, block[:, 0]] + log_noise_mass)
-            coeff = -w[:, None] * q
-            coeff[:, 0] += w
-            table[x] += np.bincount(
-                block.ravel(), weights=coeff.ravel(), minlength=problem.m_y
-            )
-    return sf.accumulate_grad(theta, table)
+    return population_ranking_value_grad(sf, theta, problem, noise, k)[1]
 
 
 def population_binary_objective(
@@ -337,13 +372,7 @@ def population_binary_objective(
     noise: NoiseDistribution,
     k: int,
 ) -> float:
-    """Expected binary objective; exact, needs only a sum over X x Y."""
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
-    stilde = _shifted_table(sf, bp.theta, noise) - bp.gamma - np.log(k)
-    pos = problem.p_xy * log_expit(stilde)
-    neg = k * problem.p_x[:, None] * noise.probs[None, :] * log_expit(-stilde)
-    return float(pos.sum() + neg.sum())
+    return population_binary_value_grad(sf, bp, problem, noise, k)[0]
 
 
 def population_binary_gradient(
@@ -353,14 +382,7 @@ def population_binary_gradient(
     noise: NoiseDistribution,
     k: int,
 ) -> np.ndarray:
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
-    theta = check_params(bp.theta, sf.n_params)
-    stilde = _shifted_table(sf, theta, noise) - bp.gamma - np.log(k)
-    sig = expit(stilde)
-    weights = problem.p_xy * (1.0 - sig) - k * problem.p_x[:, None] * noise.probs[None, :] * sig
-    theta_grad = sf.accumulate_grad(theta, weights)
-    return np.concatenate([theta_grad, [-float(weights.sum())]])
+    return population_binary_value_grad(sf, bp, problem, noise, k)[1]
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +397,7 @@ def regularizer_from_draws(
     noise: NoiseDistribution,
     alpha: float,
 ) -> tuple[float, np.ndarray]:
-    """Penalty (alpha/n) sum_i (log mean_j exp shat(x_i, ytilde_ij))^2.
+    """Penalty (alpha/n) sum_i (log mean_j exp shat(x_i, ytilde_ij))^2 and its gradient.
 
     The inner mean estimates Z(x_i; theta); the penalty pushes log Z
     toward 0, i.e. a constant (unit) partition function.
@@ -384,16 +406,21 @@ def regularizer_from_draws(
     n = x_idx.size
     if alpha == 0.0 or n == 0:
         return 0.0, np.zeros(sf.n_params)
-    m = draws.shape[1]
-    shat = _shifted_table(sf, theta, noise)
-    vals = shat[x_idx[:, None], draws]
-    log_zhat = logsumexp(vals, axis=1) - np.log(m)
+    index = x_idx[:, None] * sf.m_y + draws
+    lse, w = _lse_and_softmax(_shifted_table(sf, theta, noise).ravel()[index])
+    log_zhat = lse - np.log(draws.shape[1])
     value = float(alpha / n * np.sum(log_zhat**2))
-    w = np.exp(log_softmax(vals, axis=1))
     coeff = (2.0 * alpha / n) * log_zhat[:, None] * w
-    rows = np.broadcast_to(x_idx[:, None], draws.shape)
-    grad = _table_weights_to_grad(sf, theta, rows, draws, coeff)
-    return value, grad
+    return value, _scatter_grad(sf, theta, index, coeff)
+
+
+def regularizer_draws(
+    dataset: Dataset, noise: NoiseDistribution, cfg: RegularizerConfig
+) -> np.ndarray:
+    """The (n, m) noise labels of the penalty, fixed by (cfg.seed, cfg.stream)."""
+    if dataset.n == 0:
+        raise ValidationError("dataset is empty")
+    return noise.sample(derive_rng(cfg.seed, cfg.stream, 4), (dataset.n, cfg.m))
 
 
 def regularizer(
@@ -407,7 +434,5 @@ def regularizer(
     theta = check_params(theta, sf.n_params)
     if cfg.alpha == 0.0:
         return 0.0, np.zeros(sf.n_params)
-    _require_nonempty(dataset)
-    rng = derive_rng(cfg.seed, cfg.stream, 4)
-    draws = noise.sample(rng, (dataset.n, cfg.m))
+    draws = regularizer_draws(dataset, noise, cfg)
     return regularizer_from_draws(sf, theta, dataset.x, draws, noise, cfg.alpha)

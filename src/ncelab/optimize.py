@@ -27,17 +27,13 @@ from .model import ConditionalProblem, ScoringFunction
 from .objectives import (
     BinaryParams,
     RegularizerConfig,
-    binary_gradient,
-    binary_objective,
-    mle_gradient,
-    mle_objective,
-    population_binary_gradient,
-    population_binary_objective,
-    population_ranking_gradient,
-    population_ranking_objective,
-    ranking_gradient,
-    ranking_objective,
-    regularizer,
+    binary_value_grad,
+    mle_value_grad,
+    population_binary_value_grad,
+    population_ranking_value_grad,
+    ranking_value_grad,
+    regularizer_draws,
+    regularizer_from_draws,
 )
 from .sampling import (
     Dataset,
@@ -120,14 +116,6 @@ class EstimationReport:
             "data_digest": self.data_digest,
         }
 
-    def write_trace_csv(self, path: str, comment: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            if comment:
-                f.write(f"# {comment}\n")
-            f.write("iter,objective,grad_norm,step\n")
-            for i, v, g, s in self.trace_detail:
-                f.write(f"{i},{v!r},{g!r},{s!r}\n")
-
 
 def _binary_tag(objective: str) -> bool:
     return objective in ("binary", "population-binary")
@@ -143,46 +131,34 @@ def _make_value_grad(sf, data, noise, cfg):
     if cfg.objective in ("ranking", "binary") and noise is None:
         raise ValidationError(f"objective '{cfg.objective}' needs a noise distribution")
 
-    if cfg.objective == "mle":
-        def value_grad(params):
-            return mle_objective(sf, params, data), mle_gradient(sf, params, data)
-    elif cfg.objective == "ranking":
-        def value_grad(params):
-            return (
-                ranking_objective(sf, params, data, noise),
-                ranking_gradient(sf, params, data, noise),
-            )
-    elif cfg.objective == "binary":
-        def value_grad(params):
-            bp = BinaryParams(params[:-1], float(params[-1]))
-            return (
-                binary_objective(sf, bp, data, noise),
-                binary_gradient(sf, bp, data, noise),
-            )
-    elif cfg.objective == "population-ranking":
-        def value_grad(params):
-            return (
-                population_ranking_objective(sf, params, data, noise, cfg.k, mode="exact"),
-                population_ranking_gradient(sf, params, data, noise, cfg.k),
-            )
-    else:  # population-binary
-        def value_grad(params):
-            bp = BinaryParams(params[:-1], float(params[-1]))
-            return (
-                population_binary_objective(sf, bp, data, noise, cfg.k),
-                population_binary_gradient(sf, bp, data, noise, cfg.k),
-            )
+    def split(params):
+        return BinaryParams(params[:-1], float(params[-1]))
+
+    value_grad = {
+        "mle": lambda params: mle_value_grad(sf, params, data),
+        "ranking": lambda params: ranking_value_grad(sf, params, data, noise),
+        "binary": lambda params: binary_value_grad(sf, split(params), data, noise),
+        "population-ranking": lambda params: population_ranking_value_grad(
+            sf, params, data, noise, cfg.k
+        ),
+        "population-binary": lambda params: population_binary_value_grad(
+            sf, split(params), data, noise, cfg.k
+        ),
+    }[cfg.objective]
 
     if cfg.reg is not None and cfg.reg.alpha > 0.0:
         if is_population:
             raise ValidationError("the sampled regularizer needs a Dataset objective")
         base = value_grad
         has_gamma = _binary_tag(cfg.objective)
+        draws = regularizer_draws(data, noise, cfg.reg)
 
         def value_grad(params):
             value, grad = base(params)
             theta = params[:-1] if has_gamma else params
-            reg_value, reg_grad = regularizer(sf, theta, data, noise, cfg.reg)
+            reg_value, reg_grad = regularizer_from_draws(
+                sf, theta, data.x, draws, noise, cfg.reg.alpha
+            )
             if has_gamma:
                 reg_grad = np.concatenate([reg_grad, [0.0]])
             return value - reg_value, grad - reg_grad
@@ -299,33 +275,6 @@ def _problem_digest(problem: ConditionalProblem) -> str:
     h.update(problem.p_x.tobytes())
     h.update(problem.p_y_given_x.tobytes())
     return h.hexdigest()[:16]
-
-
-def fit_with_restarts(
-    sf: ScoringFunction,
-    data,
-    noise: NoiseDistribution | None,
-    cfg: FitConfig,
-    restarts: int,
-) -> EstimationReport:
-    """Best of ``restarts`` fits; restart 0 is the plain fit, the rest use
-    seeded-Gaussian inits with derived seeds."""
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    best: EstimationReport | None = None
-    errors: list[str] = []
-    for r in range(restarts):
-        run_cfg = cfg if r == 0 else replace(cfg, init="gaussian", seed=cfg.seed + 1 + r)
-        try:
-            report = fit(sf, data, noise, run_cfg)
-        except InitializationError as exc:
-            errors.append(f"restart {r}: {exc}")
-            continue
-        if best is None or report.final_objective > best.final_objective:
-            best = report
-    if best is None:
-        raise InitializationError("all restarts failed: " + "; ".join(errors))
-    return best
 
 
 def fit_minibatch(

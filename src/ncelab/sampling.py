@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -114,7 +116,15 @@ class SamplingConfig:
             raise ValidationError("seed and stream must be nonnegative")
 
 
-@dataclass
+class DatasetTables(NamedTuple):
+    """A dataset seen through an (m_x, m_y) score table."""
+
+    index: np.ndarray  # (n, K+1) flat cells x * m_y + label, observed label in column 0
+    positives: np.ndarray  # (m_x, m_y) times each cell is an observed pair
+    negatives: np.ndarray  # (m_x, m_y) times each cell is a sampled negative
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Positive pairs plus an (n, K) matrix of sampled negative labels."""
 
@@ -122,11 +132,12 @@ class Dataset:
     y: np.ndarray
     negatives: np.ndarray
     provenance: dict
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.x = np.ascontiguousarray(np.asarray(self.x, dtype=np.int64))
-        self.y = np.ascontiguousarray(np.asarray(self.y, dtype=np.int64))
-        self.negatives = np.ascontiguousarray(np.asarray(self.negatives, dtype=np.int64))
+        for name in ("x", "y", "negatives"):
+            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
+            object.__setattr__(self, name, arr)
         n = self.x.size
         if self.y.shape != (n,):
             raise ValidationError(f"dataset: y shape {self.y.shape} != ({n},)")
@@ -152,6 +163,22 @@ class Dataset:
             labels = (self.y, self.negatives)
             if min(a.min() for a in labels) < 0 or max(a.max() for a in labels) >= m_y:
                 raise ValidationError("dataset: label index out of range")
+
+    def tables(self, m_x: int, m_y: int) -> DatasetTables:
+        """Candidate cell index and count tables, built and bounds-checked
+        once per shape; the dataset is immutable, so they never go stale."""
+        if (m_x, m_y) not in self._tables:
+            if self.n == 0:
+                raise ValidationError("dataset is empty")
+            self.check_bounds(m_x, m_y)
+            index = self.x[:, None] * m_y + np.concatenate([self.y[:, None], self.negatives], axis=1)
+            cells = m_x * m_y
+            positives = np.bincount(index[:, 0], minlength=cells).reshape(m_x, m_y)
+            negatives = np.bincount(index[:, 1:].ravel(), minlength=cells).reshape(m_x, m_y)
+            for arr in (index, positives, negatives):
+                arr.flags.writeable = False
+            self._tables[(m_x, m_y)] = DatasetTables(index, positives, negatives)
+        return self._tables[(m_x, m_y)]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -298,7 +325,7 @@ def make_self_normalized_problem(
     for x in range(m_x):
         while True:
             perm = tuple(rng.permutation(m_y))
-            if perm not in seen or len(seen) >= _factorial(m_y):
+            if perm not in seen or len(seen) >= math.factorial(m_y):
                 seen.add(perm)
                 break
         perms[x] = perm
@@ -307,13 +334,6 @@ def make_self_normalized_problem(
     return problem_from_scores(
         LinearFeatures(features), theta_star, p_x / p_x.sum(), gamma_star=0.0
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:

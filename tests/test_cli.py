@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files, manifests, reproducibility, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -111,9 +112,19 @@ class TestFit:
 
 
 class TestCounterexample:
-    def test_reproduces_ratios(self, tmp_path):
+    def test_reproduces_ratios(self, tmp_path, capsys):
         out = tmp_path / "ce.csv"
         assert run(["counterexample", "--out", out]) == 0
+        # the default tol 1e-9 sits below the float-noise floor of most fits
+        summary = capsys.readouterr().out.splitlines()[-1]
+        m = re.fullmatch(
+            r"fits: (\d+) of 8 converged, (\d+) stalled in the line search, "
+            r"largest final \|g\| (\S+) \(tol 1e-09\)",
+            summary,
+        )
+        assert m, summary
+        assert (int(m[1]), int(m[2])) == (3, 5)
+        assert 1e-9 < float(m[3]) < 1e-7
         lines = out.read_text().splitlines()
         assert lines[1] == "estimator,k,conditional_ratio,d_metric"
         rows = [line.split(",") for line in lines[2:]]

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit, log_expit, log_softmax, logsumexp
 
 from ncelab import (
     BinaryParams,
@@ -30,8 +33,14 @@ from ncelab import (
 )
 from ncelab.objectives import (
     PopulationEstimate,
+    _lse_and_softmax,
+    binary_value_grad,
+    mle_value_grad,
     population_binary_gradient,
+    population_binary_value_grad,
     population_ranking_gradient,
+    population_ranking_value_grad,
+    ranking_value_grad,
     regularizer_from_draws,
 )
 
@@ -482,3 +491,200 @@ class TestInvariances:
             q = rng.random(5) + 1e-6
             q /= q.sum()
             assert float((beta * np.log(q)).sum()) <= best + 1e-12
+
+
+# --------------------------------------------------------------------------
+# value_grad functions against per-example reference formulas
+
+
+def ref_ranking(sf, theta, ds, noise):
+    shat = sf.score_table(theta) - noise.log_probs[None, :]
+    labels = np.concatenate([ds.y[:, None], ds.negatives], axis=1)
+    cand = shat[ds.x[:, None], labels]
+    value = float(np.mean(cand[:, 0] - logsumexp(cand, axis=1)))
+    coeff = -np.exp(log_softmax(cand, axis=1))
+    coeff[:, 0] += 1.0
+    table = np.zeros((sf.m_x, sf.m_y))
+    np.add.at(table, (np.broadcast_to(ds.x[:, None], labels.shape), labels), coeff)
+    return value, sf.accumulate_grad(theta, table) / ds.n
+
+
+def ref_binary(sf, bp, ds, noise):
+    stilde = sf.score_table(bp.theta) - noise.log_probs[None, :] - bp.gamma - np.log(ds.k)
+    pos = stilde[ds.x, ds.y]
+    neg = stilde[ds.x[:, None], ds.negatives]
+    value = float(np.mean(log_expit(pos) + log_expit(-neg).sum(axis=1)))
+    table = np.zeros((sf.m_x, sf.m_y))
+    np.add.at(table, (ds.x, ds.y), 1.0 - expit(pos))
+    np.add.at(table, (np.broadcast_to(ds.x[:, None], neg.shape), ds.negatives), -expit(neg))
+    grad = np.concatenate([sf.accumulate_grad(bp.theta, table), [-table.sum()]])
+    return value, grad / ds.n
+
+
+def ref_mle(sf, theta, ds):
+    log_p = log_softmax(sf.score_table(theta), axis=1)
+    table = np.zeros((sf.m_x, sf.m_y))
+    for x, y in zip(ds.x, ds.y):
+        table[x, y] += 1.0
+        table[x] -= np.exp(log_p[x])
+    return float(np.mean(log_p[ds.x, ds.y])), sf.accumulate_grad(theta, table) / ds.n
+
+
+def ref_population_binary(sf, bp, problem, noise, k):
+    """The closed form population-binary used before the shared kernel."""
+    stilde = sf.score_table(bp.theta) - noise.log_probs[None, :] - bp.gamma - np.log(k)
+    pos = problem.p_xy * log_expit(stilde)
+    neg = k * problem.p_x[:, None] * noise.probs[None, :] * log_expit(-stilde)
+    sig = expit(stilde)
+    weights = problem.p_xy * (1.0 - sig) - k * problem.p_x[:, None] * noise.probs[None, :] * sig
+    grad = np.concatenate([sf.accumulate_grad(bp.theta, weights), [-float(weights.sum())]])
+    return float(pos.sum() + neg.sum()), grad
+
+
+def ref_population_ranking(sf, theta, problem, noise, k):
+    shat = sf.score_table(theta) - noise.log_probs[None, :]
+    value, table = 0.0, np.zeros((sf.m_x, sf.m_y))
+    for x in range(problem.m_x):
+        for labels in itertools.product(range(problem.m_y), repeat=k + 1):
+            labels = list(labels)
+            w = problem.p_xy[x, labels[0]] * np.prod(noise.probs[labels[1:]])
+            cand = shat[x, labels]
+            value += w * (cand[0] - logsumexp(cand))
+            np.add.at(table[x], labels, -w * np.exp(log_softmax(cand)))
+            table[x, labels[0]] += w
+    return value, sf.accumulate_grad(theta, table)
+
+
+def ref_regularizer(sf, theta, x_idx, draws, noise, alpha):
+    shat = sf.score_table(theta) - noise.log_probs[None, :]
+    n, m = draws.shape
+    value, table = 0.0, np.zeros((sf.m_x, sf.m_y))
+    for x, row in zip(x_idx, draws):
+        log_zhat = logsumexp(shat[x, row]) - np.log(m)
+        value += alpha / n * log_zhat**2
+        np.add.at(table[x], row, 2.0 * alpha / n * log_zhat * np.exp(log_softmax(shat[x, row])))
+    return value, sf.accumulate_grad(theta, table)
+
+
+@st.composite
+def small_problems(draw, max_k=4, max_m_y=5):
+    """Random dense-feature problem, optionally with per-context biases,
+    non-uniform noise and a dataset whose examples may repeat."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    m_x, m_y = draw(st.integers(1, 4)), draw(st.integers(2, max_m_y))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, max_k))
+    problem = random_tabular_problem(m_x, m_y, draw(st.integers(1, 3)), seed)
+    sf = ContextBias(problem.scoring) if draw(st.booleans()) else problem.scoring
+    rng = np.random.default_rng(seed)
+    raw = rng.random(m_y) + 0.1
+    noise = NoiseDistribution(raw / raw.sum())
+    rows = rng.integers(0, max(1, n // 3), n) if draw(st.booleans()) else np.arange(n)
+    x = rng.integers(0, m_x, n)[rows]
+    y = rng.integers(0, m_y, n)[rows]
+    negatives = rng.integers(0, m_y, (n, k))[rows]
+    dataset = Dataset(x=x, y=y, negatives=negatives, provenance={})
+    theta = rng.standard_normal(sf.n_params)
+    return problem, sf, noise, dataset, theta, float(rng.normal()), k
+
+
+def assert_matches(got, want):
+    (value, grad), (ref_value, ref_grad) = got, want
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-15)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-10 * max(np.linalg.norm(ref_grad), 1e-12)
+
+
+class TestValueGradMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems())
+    def test_ranking(self, case):
+        _, sf, noise, ds, theta, _, _ = case
+        first = ranking_value_grad(sf, theta, ds, noise)
+        assert_matches(first, ref_ranking(sf, theta, ds, noise))
+        second = ranking_value_grad(sf, theta, ds, noise)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems())
+    def test_binary(self, case):
+        _, sf, noise, ds, theta, gamma, _ = case
+        bp = BinaryParams(theta, gamma)
+        first = binary_value_grad(sf, bp, ds, noise)
+        assert_matches(first, ref_binary(sf, bp, ds, noise))
+        second = binary_value_grad(sf, bp, ds, noise)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems())
+    def test_mle(self, case):
+        _, sf, _, ds, theta, _, _ = case
+        first = mle_value_grad(sf, theta, ds)
+        assert_matches(first, ref_mle(sf, theta, ds))
+        second = mle_value_grad(sf, theta, ds)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems())
+    def test_population_binary_is_the_closed_form(self, case):
+        problem, sf, noise, _, theta, gamma, k = case
+        bp = BinaryParams(theta, gamma)
+        value, grad = population_binary_value_grad(sf, bp, problem, noise, k)
+        ref_value, ref_grad = ref_population_binary(sf, bp, problem, noise, k)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_problems(max_k=3, max_m_y=4))
+    def test_population_ranking(self, case):
+        problem, sf, noise, _, theta, _, k = case
+        got = population_ranking_value_grad(sf, theta, problem, noise, k)
+        assert_matches(got, ref_population_ranking(sf, theta, problem, noise, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems())
+    def test_regularizer(self, case):
+        _, sf, noise, ds, theta, _, _ = case
+        # the dataset's negatives double as the penalty's noise draws
+        got = regularizer_from_draws(sf, theta, ds.x, ds.negatives, noise, 0.7)
+        assert_matches(got, ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7))
+
+
+class TestLseAndSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 40),
+        st.integers(1, 120),
+        st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+        st.booleans(),
+    )
+    def test_rounds_like_scipy(self, seed, rows, cols, scale, ties):
+        cand = scale * np.random.default_rng(seed).standard_normal((rows, cols))
+        if ties:
+            cand = np.round(cand)
+        lse, q = _lse_and_softmax(cand)
+        np.testing.assert_array_equal(lse, logsumexp(cand, axis=1))
+        np.testing.assert_array_equal(q, np.exp(log_softmax(cand, axis=1)))
+
+
+class TestDatasetTables:
+    def test_built_once_per_shape(self):
+        ds = Dataset(x=[0, 1, 1], y=[2, 0, 2], negatives=[[1, 1], [0, 2], [2, 2]], provenance={})
+        tables = ds.tables(2, 3)
+        assert ds.tables(2, 3) is tables
+        np.testing.assert_array_equal(tables.index, [[2, 1, 1], [3, 3, 5], [5, 5, 5]])
+        np.testing.assert_array_equal(tables.positives, [[0, 0, 1], [1, 0, 1]])
+        np.testing.assert_array_equal(tables.negatives, [[0, 2, 0], [1, 0, 3]])
+        assert ds.tables(2, 4) is not tables
+
+    def test_bounds_checked_for_every_shape(self):
+        ds = Dataset(x=[0], y=[2], negatives=[[1]], provenance={})
+        ds.tables(1, 3)
+        with pytest.raises(ValidationError, match="label index"):
+            ds.tables(1, 2)
+        with pytest.raises(ValidationError, match="x index"):
+            Dataset(x=[1], y=[0], negatives=[[0]], provenance={}).tables(1, 2)
+
+    def test_dataset_is_immutable(self):
+        ds = Dataset(x=[0], y=[1], negatives=[[0]], provenance={})
+        with pytest.raises(AttributeError):
+            ds.x = np.array([1])

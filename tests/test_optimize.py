@@ -15,7 +15,6 @@ from ncelab import (
     cond_prob_table,
     counterexample_problem,
     fit,
-    fit_with_restarts,
     generate_dataset,
     random_tabular_problem,
 )
@@ -126,16 +125,6 @@ class TestFitMechanics:
 
 
 class TestRestarts:
-    def test_single_restart_reduces_to_fit(self):
-        problem = random_tabular_problem(2, 3, 2, seed=11)
-        noise = NoiseDistribution.uniform(3)
-        ds = generate_dataset(problem, 300, SamplingConfig(k=2, seed=12), noise)
-        cfg = FitConfig(objective="ranking")
-        a = fit(problem.scoring, ds, noise, cfg)
-        b = fit_with_restarts(problem.scoring, ds, noise, cfg, restarts=1)
-        np.testing.assert_array_equal(a.theta, b.theta)
-        assert a.trace == b.trace
-
     def test_convex_objective_restarts_agree(self):
         problem = random_tabular_problem(2, 3, 3, seed=13)
         noise = NoiseDistribution.uniform(3)
@@ -151,25 +140,6 @@ class TestRestarts:
             for r in range(4)
         ]
         assert max(values) - min(values) <= 1e-6
-
-    def test_returns_best_objective(self):
-        problem = random_tabular_problem(3, 4, 3, seed=17)
-        noise = NoiseDistribution.uniform(4)
-        ds = generate_dataset(problem, 300, SamplingConfig(k=1, seed=18), noise)
-        cfg = FitConfig(objective="binary", max_iters=40)
-        best = fit_with_restarts(problem.scoring, ds, noise, cfg, restarts=5)
-        from dataclasses import replace
-
-        singles = [
-            fit(
-                problem.scoring,
-                ds,
-                noise,
-                cfg if r == 0 else replace(cfg, init="gaussian", seed=cfg.seed + 1 + r),
-            ).final_objective
-            for r in range(5)
-        ]
-        assert best.final_objective == pytest.approx(max(singles), abs=0)
 
 
 class TestGaugeNeutrality:
