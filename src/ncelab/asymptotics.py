@@ -9,9 +9,17 @@ factors coincide,
 
 where W_K is the expected outer product of the posterior-weighted
 candidate gradients, so the sandwich collapses to the inverse of a single
-"information" matrix. Exact mode verifies the collapse numerically (the
-directly enumerated score variance must match within 1e-8) before
-trusting it.
+"information" matrix.
+
+Exact mode computes W_K and the score variance as sums over the positive
+label u and the K negatives. The negatives are i.i.d. draws from p_N and
+the ranking loss is symmetric in them, so instead of the m_y**K ordered
+tuples the sum runs over the C(m_y+K-1, K) count vectors c (c_j negatives
+carry label j, sum_j c_j = K), each weighted by its multinomial
+probability K!/prod_j c_j! prod_j p_N(j)^{c_j}. The term budget still
+counts the ordered tuples, m_x * m_y**K. Exact mode verifies the collapse
+numerically (the directly enumerated score variance must match within
+1e-8) before trusting it, and records the gap on the report.
 
 For the binary objective (which requires a self-normalized truth) the
 factors differ and the full sandwich is kept:
@@ -32,9 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_softmax
 
-from .errors import BudgetError, SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params
-from .objectives import _shifted_table, _simulate_tuples, _tuple_chunks
+from .objectives import (
+    _shifted_table,
+    _simulate_tuples,
+    check_term_budget,
+    ranking_count_terms,
+)
 from .optimize import FitConfig, fit
 from .sampling import (
     NoiseDistribution,
@@ -43,7 +56,6 @@ from .sampling import (
     generate_dataset,
 )
 
-ASYMPTOTIC_TERM_BUDGET = 10**7
 EIGENVALUE_FLOOR = 1e-10
 SELF_NORM_PRECONDITION_TOL = 1e-8
 COLLAPSE_TOL = 1e-8
@@ -62,6 +74,7 @@ class CovarianceReport:
     mse_infinity: float
     num_samples: int | None = None
     information_stderr: np.ndarray | None = None
+    collapse_gap: float | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -76,6 +89,8 @@ class CovarianceReport:
             out["num_samples"] = self.num_samples
         if self.information_stderr is not None:
             out["information_stderr"] = self.information_stderr.tolist()
+        if self.collapse_gap is not None:
+            out["collapse_gap"] = self.collapse_gap
         return out
 
 
@@ -166,10 +181,12 @@ def ranking_asymptotic_cov(
 ) -> CovarianceReport:
     """Asymptotic covariance of the ranking estimator at the truth.
 
-    Exact mode enumerates negative tuples in Y^K (the positive label is
-    summed out exactly per tuple) within the m_x * m_y**K term budget;
-    Monte Carlo mode averages num_samples simulated tuples and attaches
-    batch-means standard errors.
+    Exact mode sums over the positive label and the count vectors of the
+    K negatives, each weighted by its multinomial probability (see the
+    module docstring), within the budget of m_x * m_y**K ordered tuples,
+    and records the sandwich-collapse gap on the report; Monte Carlo mode
+    averages num_samples simulated tuples and attaches batch-means
+    standard errors.
     """
     if k < 1:
         raise ValidationError(f"K must be >= 1, got {k}")
@@ -178,43 +195,11 @@ def ranking_asymptotic_cov(
     grads = sf.grad_table(theta_star)
     d = sf.n_params
     term1 = _pair_outer_expectation(problem, grads)
+    collapse_gap = None
 
     if mode == "exact":
-        terms = problem.m_x * problem.m_y**k
-        if terms > ASYMPTOTIC_TERM_BUDGET:
-            raise BudgetError(
-                f"exact ranking covariance needs {terms} tuples, over the "
-                f"{ASYMPTOTIC_TERM_BUDGET} budget; use monte-carlo mode"
-            )
-        w_mix = np.zeros((d, d))
-        score_var = np.zeros((d, d))
-        log_pn = noise.log_probs
-        for block in _tuple_chunks(problem.m_y, k, chunk=50_000):
-            t = block.shape[0]
-            log_noise_mass = log_pn[block].sum(axis=1)
-            for x in range(problem.m_x):
-                neg_scores = shat[x][block]                       # (T, K)
-                neg_grads = grads[x][block]                       # (T, K, d)
-                # candidate slot 0 ranges over all labels at once
-                all_scores = np.concatenate(
-                    [
-                        np.broadcast_to(shat[x][:, None, None], (problem.m_y, t, 1)),
-                        np.broadcast_to(neg_scores[None], (problem.m_y, t, k)),
-                    ],
-                    axis=2,
-                )
-                q = np.exp(log_softmax(all_scores, axis=2))       # (m_y, T, K+1)
-                v = np.einsum("ut,ud->utd", q[:, :, 0], grads[x]) + np.einsum(
-                    "utk,tkd->utd", q[:, :, 1:], neg_grads
-                )
-                weight = (
-                    problem.p_x[x]
-                    * problem.p_y_given_x[x][:, None]
-                    * np.exp(log_noise_mass)[None, :]
-                )
-                w_mix += np.einsum("ut,utd,ute->de", weight, v, v)
-                u = grads[x][:, None, :] - v                       # score of the objective
-                score_var += np.einsum("ut,utd,ute->de", weight, u, u)
+        check_term_budget(problem.m_x * problem.m_y**k, "ranking covariance")
+        w_mix, score_var = _exact_ranking_factors(problem, shat, grads, noise, k)
         information = _symmetrize(term1 - w_mix, what="ranking information")
         collapse_gap = float(np.max(np.abs(score_var - information)))
         if collapse_gap > COLLAPSE_TOL:
@@ -266,9 +251,25 @@ def ranking_asymptotic_cov(
         mse_infinity=float(np.trace(inverse)) / d,
         num_samples=m,
         information_stderr=stderr,
+        collapse_gap=collapse_gap,
     )
     _check_psd(report)
     return report
+
+
+def _exact_ranking_factors(problem, shat, grads, noise, k):
+    """W_K and the score variance E[(grad_u - v)(grad_u - v)^T], summed over
+    the positive label u and the negatives' count vectors c, where
+    v = (e_u grad_u + sum_j c_j e_j grad_j) / (e_u + sum_j c_j e_j)."""
+    d = grads.shape[2]
+    w_mix = np.zeros((d, d))
+    score_var = np.zeros((d, d))
+    for x, weight, _, q, r, mass in ranking_count_terms(problem, shat, noise, k):
+        v = q[:, :, None] * grads[x][:, None, :] + r[:, :, None] * (mass @ grads[x])[None]
+        w_mix += np.einsum("ut,utd,ute->de", weight, v, v)
+        u = grads[x][:, None, :] - v                       # score of the objective
+        score_var += np.einsum("ut,utd,ute->de", weight, u, u)
+    return w_mix, score_var
 
 
 def _check_psd(report: CovarianceReport) -> None:

@@ -27,17 +27,18 @@ table stores the *positive* cross-entropy H(beta, q) = -sum beta log q
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, log_expit, log_softmax, logsumexp
+from scipy.special import expit, gammaln, log_expit, log_softmax, logsumexp
 
 from .errors import BudgetError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
-POPULATION_TERM_BUDGET = 10**7
+TERM_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -251,21 +252,76 @@ class PopulationEstimate(NamedTuple):
     stderr: float
 
 
-def _tuple_chunks(m_y: int, width: int, chunk: int = 200_000):
-    """Yield (B, width) blocks enumerating all label tuples in Y^width."""
-    total = m_y**width
-    digits = m_y ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield (ids[:, None] // digits[None, :]) % m_y
-
-
-def _check_population_budget(terms: int, what: str) -> None:
-    if terms > POPULATION_TERM_BUDGET:
+def check_term_budget(terms: int, what: str) -> None:
+    """Refuse an exact sum over more than TERM_BUDGET ordered candidate tuples."""
+    if terms > TERM_BUDGET:
         raise BudgetError(
-            f"exact {what} needs {terms} terms, over the {POPULATION_TERM_BUDGET} budget; "
+            f"exact {what} needs {terms} terms, over the {TERM_BUDGET} budget; "
             "use monte-carlo mode"
         )
+
+
+def count_vectors(log_pn: np.ndarray, k: int, block: int = 1 << 16):
+    """Yield (counts, log_weight) blocks covering every multiset of K noise labels.
+
+    ``counts`` is (M, m_y), one count vector c (sum_j c_j = K) per row, and
+    ``log_weight`` its log multinomial probability under K i.i.d. draws,
+    log K! - sum_j log c_j! + sum_j c_j log p_N(j). The C(m_y+K-1, K) rows
+    partition the m_y**K ordered tuples, so a sum of any function symmetric
+    in the negatives over Y^K equals the weighted sum over these rows.
+    Rows come in lexicographic order of the sorted label tuples, at most
+    ``block // m_y`` (and at least one) per block.
+    """
+    m_y = log_pn.size
+    rows = max(1, block // m_y)
+    log_fact = gammaln(np.arange(k + 1) + 1.0)
+    tuples = itertools.combinations_with_replacement(range(m_y), k)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(tuples, rows)), dtype=np.int64
+        )
+        if flat.size == 0:
+            return
+        labels = flat.reshape(-1, k)
+        m = labels.shape[0]
+        cells = (np.arange(m)[:, None] * m_y + labels).ravel()
+        counts = np.bincount(cells, minlength=m * m_y).reshape(m, m_y)
+        yield counts, log_fact[k] - log_fact[counts].sum(axis=1) + counts @ log_pn
+
+
+def ranking_count_terms(
+    problem: ConditionalProblem, shat: np.ndarray, noise: NoiseDistribution, k: int
+):
+    """Yield the exact ranking sum's terms, one (context, block) at a time.
+
+    For context x, every positive label u (rows) and every count vector c
+    of a ``count_vectors`` block (columns), yields (x, w, log_q, q, r, mass):
+
+    * w (m_y, M): the term's probability p_x p(u|x) times c's multinomial weight;
+    * log_q, q (m_y, M): log and value of the positive slot's posterior;
+    * r (m_y, M) and mass (M, m_y): the negatives labelled j hold posterior
+      r * mass[:, j] together.
+
+    Candidates that share a label share a score, so with shifted scores a
+    the softmax denominator is exp(a_u) + sum_j c_j exp(a_j). Exponents are
+    taken relative to the tuple's largest score: mass is c_j exp(a_j - b),
+    b the largest score among c's labels.
+    """
+    for counts, log_weight in count_vectors(noise.log_probs, k):
+        noise_mass = np.exp(log_weight)
+        present = counts > 0
+        for x in range(problem.m_x):
+            a = shat[x]
+            b = np.where(present, a[None, :], -np.inf).max(axis=1)
+            # labels absent from c may score above b; clip so 0 * exp stays 0
+            mass = counts * np.exp(np.minimum(a[None, :] - b[:, None], 0.0))
+            top = np.maximum(a[:, None], b[None, :])
+            pos = np.exp(a[:, None] - top)
+            neg = np.exp(b[None, :] - top)
+            denom = pos + neg * mass.sum(axis=1)[None, :]
+            log_q = a[:, None] - top - np.log(denom)
+            w = problem.p_x[x] * problem.p_y_given_x[x][:, None] * noise_mass[None, :]
+            yield x, w, log_q, pos / denom, neg / denom, mass
 
 
 def population_ranking_value_grad(
@@ -275,25 +331,23 @@ def population_ranking_value_grad(
     noise: NoiseDistribution,
     k: int,
 ) -> tuple[float, np.ndarray]:
-    """Exact expected ranking objective and its gradient, enumerating all
-    m_x * m_y**(K+1) candidate tuples (within the term budget)."""
+    """Exact expected ranking objective and its gradient.
+
+    The positive label is summed over Y and the K i.i.d. negatives over the
+    C(m_y+K-1, K) count vectors of ``count_vectors``, each weighted by
+    p_x p(u|x) times its multinomial probability (``ranking_count_terms``).
+    The term budget still counts the m_x * m_y**(K+1) ordered candidate
+    tuples that this sum replaces.
+    """
     _check_k(k)
-    _check_population_budget(problem.m_x * problem.m_y ** (k + 1), "ranking objective")
+    check_term_budget(problem.m_x * problem.m_y ** (k + 1), "ranking objective")
     theta = check_params(theta, sf.n_params)
     shat = _shifted_table(sf, theta, noise)
-    log_pyx = np.log(problem.p_y_given_x)
     total = 0.0
     table = np.zeros((problem.m_x, problem.m_y))
-    for block in _tuple_chunks(problem.m_y, k + 1):
-        log_noise_mass = noise.log_probs[block[:, 1:]].sum(axis=1)
-        for x in range(problem.m_x):
-            cand = shat[x, block]
-            lse, q = _lse_and_softmax(cand)
-            w = np.exp(np.log(problem.p_x[x]) + log_pyx[x, block[:, 0]] + log_noise_mass)
-            total += float(w @ (cand[:, 0] - lse))
-            coeff = -w[:, None] * q
-            coeff[:, 0] += w
-            table[x] += np.bincount(block.ravel(), weights=coeff.ravel(), minlength=problem.m_y)
+    for x, w, log_q, q, r, mass in ranking_count_terms(problem, shat, noise, k):
+        total += float((w * log_q).sum())
+        table[x] += (w * (1.0 - q)).sum(axis=1) - (w * r).sum(axis=0) @ mass
     return total, sf.accumulate_grad(theta, table)
 
 

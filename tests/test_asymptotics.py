@@ -22,7 +22,12 @@ from ncelab import (
     ranking_asymptotic_cov,
     replicate,
 )
-from ncelab.asymptotics import CovarianceReport, decomposition_gap
+from ncelab.asymptotics import (
+    COLLAPSE_TOL,
+    CovarianceReport,
+    _exact_ranking_factors,
+    decomposition_gap,
+)
 
 
 def two_label_problem(theta0=0.0):
@@ -149,6 +154,71 @@ class TestRankingCov:
                     lhs += weight * (q @ f[x, labels])
                     rhs += weight * f[x, labels[0]]
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def brute_force_ranking_factors(problem, sf, theta, noise, k):
+    """Information E[g g^T] - W_K and the score variance, summing the
+    positive label and every ordered negative tuple in Y^K."""
+    shat = sf.score_table(theta) - noise.log_probs[None, :]
+    grads = sf.grad_table(theta)
+    negs = np.array(list(itertools.product(range(problem.m_y), repeat=k)))
+    noise_mass = np.prod(noise.probs[negs], axis=1)
+    d = sf.n_params
+    w_mix, score_var = np.zeros((d, d)), np.zeros((d, d))
+    for x in range(problem.m_x):
+        for u in range(problem.m_y):
+            cand = np.concatenate([np.full((len(negs), 1), u), negs], axis=1)
+            q = np.exp(log_softmax(shat[x, cand], axis=1))
+            v = np.einsum("tk,tkd->td", q, grads[x, cand])
+            w = problem.p_x[x] * problem.p_y_given_x[x, u] * noise_mass
+            w_mix += np.einsum("t,td,te->de", w, v, v)
+            score = grads[x, u] - v
+            score_var += np.einsum("t,td,te->de", w, score, score)
+    term1 = np.einsum("xy,xyd,xye->de", problem.p_xy, grads, grads)
+    return term1 - w_mix, score_var
+
+
+class TestExactRankingByCountVectors:
+    @pytest.mark.parametrize("m_y", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_ordered_tuple_sum(self, m_y, k):
+        prob = random_tabular_problem(3, m_y, 2, seed=100 + 10 * m_y + k)
+        sf, ts = prob.scoring, prob.theta_star
+        raw = np.random.default_rng(m_y + k).random(m_y) + 0.1
+        noise = NoiseDistribution(raw / raw.sum())
+        shat = sf.score_table(ts) - noise.log_probs[None, :]
+        grads = sf.grad_table(ts)
+        w_mix, score_var = _exact_ranking_factors(prob, shat, grads, noise, k)
+        term1 = np.einsum("xy,xyd,xye->de", prob.p_xy, grads, grads)
+        info_ref, var_ref = brute_force_ranking_factors(prob, sf, ts, noise, k)
+        assert np.max(np.abs(term1 - w_mix - info_ref)) <= 1e-12 * np.max(np.abs(info_ref))
+        assert np.max(np.abs(score_var - var_ref)) <= 1e-12 * np.max(np.abs(var_ref))
+        report = ranking_asymptotic_cov(prob, sf, ts, noise, k, mode="exact")
+        np.testing.assert_allclose(report.information, info_ref, rtol=0, atol=1e-12)
+
+    def test_collapse_gap_is_recorded(self):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(4)
+        exact = ranking_asymptotic_cov(prob, sf, ts, noise, 3, mode="exact")
+        assert 0.0 <= exact.collapse_gap <= COLLAPSE_TOL
+        assert exact.to_json_dict()["collapse_gap"] == exact.collapse_gap
+        mc = ranking_asymptotic_cov(prob, sf, ts, noise, 3, mode="mc", num_samples=640, seed=1)
+        binary = binary_asymptotic_cov(prob, sf, ts, 0.0, noise, 3)
+        for report in (mc, binary):
+            assert report.collapse_gap is None
+            assert "collapse_gap" not in report.to_json_dict()
+
+    def test_monte_carlo_agrees_with_exact_at_k10(self):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(4)
+        exact = ranking_asymptotic_cov(prob, sf, ts, noise, 10, mode="exact")
+        mc = ranking_asymptotic_cov(
+            prob, sf, ts, noise, 10, mode="mc", num_samples=400_000, seed=3
+        )
+        gap = np.abs(mc.information - exact.information)
+        assert np.all(gap <= 4 * mc.information_stderr + 1e-12)
 
 
 class TestBinaryCov:

@@ -1,6 +1,7 @@
 """Sampled/population objectives against naive oracles and invariances."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ncelab.objectives import (
     PopulationEstimate,
     _lse_and_softmax,
     binary_value_grad,
+    count_vectors,
     mle_value_grad,
     population_binary_gradient,
     population_binary_value_grad,
@@ -688,3 +690,48 @@ class TestDatasetTables:
         ds = Dataset(x=[0], y=[1], negatives=[[0]], provenance={})
         with pytest.raises(AttributeError):
             ds.x = np.array([1])
+
+
+class TestCountVectors:
+    """The multiset enumerator behind both exact ranking sums, against a
+    brute-force pass over the ordered tuples in Y^K."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 5), st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**31 - 1)
+    )
+    def test_one_row_per_multiset_with_multinomial_weight(self, m_y, k, block, seed):
+        raw = np.random.default_rng(seed).random(m_y) + 0.05
+        noise = NoiseDistribution(raw / raw.sum())
+        blocks = list(count_vectors(noise.log_probs, k, block=block))
+        assert all(len(c) <= max(1, block // m_y) for c, _ in blocks)
+        counts = np.concatenate([c for c, _ in blocks])
+        log_weight = np.concatenate([w for _, w in blocks])
+        assert len(counts) == math.comb(m_y + k - 1, k)
+        assert len({tuple(row) for row in counts}) == len(counts)
+        assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == k)
+        assert abs(np.exp(log_weight).sum() - 1.0) <= 1e-12
+        brute = {}
+        for labels in itertools.product(range(m_y), repeat=k):
+            key = tuple(np.bincount(labels, minlength=m_y))
+            brute[key] = brute.get(key, 0.0) + np.prod(noise.probs[list(labels)])
+        assert set(brute) == {tuple(row) for row in counts}
+        for row, lw in zip(counts, log_weight):
+            assert np.exp(lw) == pytest.approx(brute[tuple(row)], rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(1, 5), st.sampled_from([1.0, 300.0]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_population_ranking_matches_ordered_tuples(self, m_y, k, scale, seed):
+        # scale 300 spreads the scores over hundreds of nats, past exp's range
+        problem = random_tabular_problem(2, m_y, 3, seed)
+        rng = np.random.default_rng(seed)
+        raw = rng.random(m_y) + 0.05
+        noise = NoiseDistribution(raw / raw.sum())
+        theta = scale * rng.standard_normal(3)
+        sf = problem.scoring
+        got = population_ranking_value_grad(sf, theta, problem, noise, k)
+        assert np.isfinite(got[0]) and np.all(np.isfinite(got[1]))
+        assert_matches(got, ref_population_ranking(sf, theta, problem, noise, k))
