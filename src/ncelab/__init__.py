@@ -21,10 +21,7 @@ from .model import (
     cond_prob,
     cond_prob_table,
     log_cond_prob_table,
-    log_partition,
-    partition,
     problem_from_scores,
-    shifted_score,
 )
 from .sampling import (
     Dataset,
@@ -54,16 +51,15 @@ from .objectives import (
     ranking_objective,
     regularizer,
 )
-from .optimize import EstimationReport, FitConfig, fit, fit_minibatch
+from .optimize import EstimationReport, FitConfig, fit
 from .asymptotics import (
     CovarianceReport,
     ReplicationSummary,
     binary_asymptotic_cov,
     fisher_information,
-    mse_infinity,
     ranking_asymptotic_cov,
     replicate,
 )
-from .evaluation import EvalResult, d_metric, evaluate, kl_divergence, perplexity
+from .evaluation import EvalResult, d_metric, evaluate, kl_divergence
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ label u and the K negatives. The negatives are i.i.d. draws from p_N and
 the ranking loss is symmetric in them, so instead of the m_y**K ordered
 tuples the sum runs over the C(m_y+K-1, K) count vectors c (c_j negatives
 carry label j, sum_j c_j = K), each weighted by its multinomial
-probability K!/prod_j c_j! prod_j p_N(j)^{c_j}. The term budget still
-counts the ordered tuples, m_x * m_y**K. Exact mode verifies the collapse
+probability K!/prod_j c_j! prod_j p_N(j)^{c_j}. The term budget counts
+these, m_x * C(m_y+K-1, K). Exact mode verifies the collapse
 numerically (the directly enumerated score variance must match within
 1e-8) before trusting it, and records the gap on the report.
 
@@ -35,6 +35,7 @@ asymptotic covariance of theta_hat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,14 @@ class CovarianceReport:
     information: np.ndarray
     inverse: np.ndarray
     mode: str
-    mse_infinity: float
     num_samples: int | None = None
     information_stderr: np.ndarray | None = None
     collapse_gap: float | None = None
+
+    @property
+    def mse_infinity(self) -> float:
+        """Scaled asymptotic mean square error, trace(I^{-1})/d."""
+        return float(np.trace(self.inverse)) / self.inverse.shape[0]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -159,11 +164,6 @@ def fisher_information(
     return _symmetrize(np.einsum("x,xde->de", problem.p_x, var), what="fisher information")
 
 
-def mse_infinity(report: CovarianceReport) -> float:
-    """Scaled asymptotic mean square error, trace(I^{-1})/d."""
-    return float(np.trace(report.inverse)) / report.inverse.shape[0]
-
-
 def _pair_outer_expectation(problem, grads) -> np.ndarray:
     """E_{p_XY}[ grad grad^T ]."""
     return np.einsum("xy,xyd,xye->de", problem.p_xy, grads, grads)
@@ -183,7 +183,7 @@ def ranking_asymptotic_cov(
 
     Exact mode sums over the positive label and the count vectors of the
     K negatives, each weighted by its multinomial probability (see the
-    module docstring), within the budget of m_x * m_y**K ordered tuples,
+    module docstring), within the budget of m_x * C(m_y+K-1, K) terms,
     and records the sandwich-collapse gap on the report; Monte Carlo mode
     averages num_samples simulated tuples and attaches batch-means
     standard errors.
@@ -198,7 +198,9 @@ def ranking_asymptotic_cov(
     collapse_gap = None
 
     if mode == "exact":
-        check_term_budget(problem.m_x * problem.m_y**k, "ranking covariance")
+        check_term_budget(
+            problem.m_x * math.comb(problem.m_y + k - 1, k), "ranking covariance"
+        )
         w_mix, score_var = _exact_ranking_factors(problem, shat, grads, noise, k)
         information = _symmetrize(term1 - w_mix, what="ranking information")
         collapse_gap = float(np.max(np.abs(score_var - information)))
@@ -248,7 +250,6 @@ def ranking_asymptotic_cov(
         information=information,
         inverse=inverse,
         mode=mode,
-        mse_infinity=float(np.trace(inverse)) / d,
         num_samples=m,
         information_stderr=stderr,
         collapse_gap=collapse_gap,
@@ -326,7 +327,6 @@ def binary_asymptotic_cov(
         information=information,
         inverse=inverse,
         mode="exact",
-        mse_infinity=float(np.trace(inverse)) / d,
     )
     _check_psd(report)
     return report

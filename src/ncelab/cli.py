@@ -75,6 +75,13 @@ def _parse_gamma_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_k_list(text: str) -> list[int]:
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--K expects comma-separated integers, got {text!r}") from exc
+
+
 def _parse_mode(text: str) -> tuple[str, int | None]:
     if text == "exact":
         return "exact", None
@@ -271,7 +278,7 @@ def cmd_asymptotics(args) -> int:
             raise ValidationError("asymptotics needs a problem with theta_star")
         sf, theta_star = problem.scoring, problem.theta_star
         noise = tabular_noise(problem, args.noise)
-        ks = [int(k) for k in args.K.split(",")]
+        ks = _parse_k_list(args.K)
         mode, num_samples = _parse_mode(args.mode)
         fisher = fisher_information(problem, sf, theta_star)
         fisher_inv = invert_spd(fisher, "fisher information")
@@ -385,9 +392,6 @@ def cmd_lm(args) -> int:
             seed=args.seed,
             max_iters=args.max_iters,
             tol=args.tol,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            resample_negatives=args.resample_negatives,
         )
         report = run_lm_experiment(text, cfg)
         digest = manifest.digest()
@@ -509,11 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg-alpha", type=float, default=0.0)
     p.add_argument("--reg-m", type=int, default=None,
                    help="noise draws per example (default vocab/10)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="minibatch size; full batch when omitted")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--resample-negatives", action="store_true",
-                   help="redraw negatives every epoch (minibatch mode)")
     p.add_argument("--out", required=True)
     _add_common_fit_flags(p, lm=True)
     p.set_defaults(func=cmd_lm)

@@ -1,4 +1,4 @@
-"""Distances between true and estimated conditionals, plus LM perplexity.
+"""Distances between true and estimated conditionals.
 
 KL runs in the direction KL(true || estimated), averaged over contexts
 under p_X: an estimator that misses true support mass is penalized, and
@@ -9,12 +9,11 @@ score shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import ConditionalProblem, LogBilinear, ScoringFunction, log_cond_prob_table
+from .model import ConditionalProblem, ScoringFunction, log_cond_prob_table
 
 
 @dataclass(frozen=True)
@@ -66,50 +65,3 @@ def evaluate(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray
         d_metric=d_metric(problem, sf, theta),
         worst_tv=worst_case_tv(problem, sf, theta),
     )
-
-
-def perplexity(
-    sf: ScoringFunction,
-    theta: np.ndarray,
-    tokens,
-    order: int,
-    history_lookup: Callable[[tuple[int, ...]], int | None] | None = None,
-) -> float:
-    """exp(-mean log phat(y_t | history_t)) over scoreable positions.
-
-    ``tokens`` is a sequence of label ids already mapped into the model's
-    vocabulary (OOV handling happens upstream at the reserved token).
-    ``order`` is the n-gram order, so each history is the previous
-    order-1 tokens and scoring starts at position order-1. The default
-    history lookup uses the scoring function's own history table.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if order < 2:
-        raise ValidationError(f"history order must be >= 2, got {order}")
-    if tokens.size < order:
-        raise ValidationError(
-            f"token stream too short: {tokens.size} tokens for order {order}"
-        )
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= sf.m_y):
-        raise ValidationError("token id outside the model vocabulary")
-    if history_lookup is None:
-        if not isinstance(sf, LogBilinear):
-            raise ValidationError(
-                "perplexity needs a history_lookup for non log-bilinear scorers"
-            )
-        history_lookup = sf.history_index
-    log_q = log_cond_prob_table(sf, theta)
-    width = order - 1
-    total = 0.0
-    count = 0
-    for t in range(width, tokens.size):
-        x = history_lookup(tuple(tokens[t - width : t]))
-        if x is None:
-            raise ValidationError(
-                f"history at position {t} is not in the model's history table"
-            )
-        total += log_q[x, tokens[t]]
-        count += 1
-    if count == 0:
-        raise ValidationError("no scoreable positions in the token stream")
-    return float(np.exp(-total / count))

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .model import LogBilinear
+from .model import LogBilinear, log_cond_prob_table
 from .objectives import RegularizerConfig, regularizer
-from .optimize import EstimationReport, FitConfig, fit, fit_minibatch
+from .optimize import EstimationReport, FitConfig, fit
 from .sampling import (
     Dataset,
     NoiseDistribution,
@@ -121,9 +121,6 @@ class LmConfig:
     max_iters: int = 400
     tol: float = 1e-5
     eval_every: int = 20
-    batch_size: int | None = None
-    epochs: int = 10
-    resample_negatives: bool = False
 
 
 @dataclass
@@ -233,24 +230,12 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
             corpus_perplexity(sf, theta, table, valid_ids, cfg.order),
         )
 
-    if cfg.batch_size is None:
+    def on_iteration(iteration: int, params: np.ndarray) -> None:
+        if iteration % cfg.eval_every == 0:
+            theta = params[:-1] if cfg.loss == "binary" else params
+            epoch_rows.append((iteration, *ppl_pair(theta)))
 
-        def on_iteration(iteration: int, params: np.ndarray) -> None:
-            if iteration % cfg.eval_every == 0:
-                theta = params[:-1] if cfg.loss == "binary" else params
-                epoch_rows.append((iteration, *ppl_pair(theta)))
-
-        report = fit(sf, dataset, noise, fit_cfg, callback=on_iteration)
-    else:
-        report = fit_minibatch(
-            sf,
-            dataset,
-            noise,
-            fit_cfg,
-            batch_size=cfg.batch_size,
-            epochs=cfg.epochs,
-            resample_negatives=cfg.resample_negatives,
-        )
+    report = fit(sf, dataset, noise, fit_cfg, callback=on_iteration)
     theta = report.theta
     train_ppl, valid_ppl = ppl_pair(theta)
     if not epoch_rows or epoch_rows[-1][0] != report.iterations:
@@ -282,8 +267,6 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
 
 def corpus_perplexity(sf, theta, table: HistoryTable, ids: np.ndarray, order: int) -> float:
     """Vectorized exp(-mean log p) over a token-id stream."""
-    from .model import log_cond_prob_table
-
     histories, targets = ngram_positions(ids, order)
     x = table.encode_histories(histories)
     log_q = log_cond_prob_table(sf, theta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_softmax, logsumexp
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 PROB_TOL = 1e-12
 SELF_NORM_TOL = 1e-10
@@ -259,11 +259,6 @@ class LogBilinear(ScoringFunction):
             self.n_ctx * dim * dim + 2 * vocab_size * dim + vocab_size
             + (self.m_x if context_bias else 0)
         )
-        self._history_index = {tuple(row): i for i, row in enumerate(histories)}
-
-    def history_index(self, history: tuple[int, ...]) -> int | None:
-        """Row index of a history tuple, or None if it is not in the table."""
-        return self._history_index.get(tuple(history))
 
     def unpack(self, theta: np.ndarray):
         theta = check_params(theta, self.n_params)
@@ -327,29 +322,6 @@ class LogBilinear(ScoringFunction):
             d_c[x] = -1.0
             parts.append(d_c)
         return np.concatenate(parts)
-
-
-def shifted_score(sf: ScoringFunction, theta: np.ndarray, noise, x: int, y: int) -> float:
-    """Noise-corrected score s(x,y;theta) - log p_N(y)."""
-    mass = float(np.asarray(noise.probs)[y])
-    if mass <= 0.0:
-        raise ValidationError(f"noise distribution has zero mass at label {y}")
-    return sf.score(theta, x, y) - float(np.asarray(noise.log_probs)[y])
-
-
-def log_partition(sf: ScoringFunction, theta: np.ndarray, x: int) -> float:
-    theta = check_params(theta, sf.n_params)
-    sf._check_indices(x, 0)
-    return float(logsumexp(sf.score_table(theta)[x]))
-
-
-def partition(sf: ScoringFunction, theta: np.ndarray, x: int) -> float:
-    """Z(x;theta) = sum_y exp s(x,y;theta), via max-shifted log-sum-exp."""
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_partition(sf, theta, x)))
-    if not np.isfinite(value) or value <= 0.0:
-        raise NumericError(f"partition function overflow at x={x}")
-    return value
 
 
 def cond_prob(sf: ScoringFunction, theta: np.ndarray, x: int) -> np.ndarray:

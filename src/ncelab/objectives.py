@@ -28,11 +28,11 @@ table stores the *positive* cross-entropy H(beta, q) = -sum beta log q
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit, log_softmax, logsumexp
+from scipy.special import expit, gammaln, log_expit, log_softmax
 
 from .errors import BudgetError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params
@@ -71,7 +71,7 @@ class RegularizerConfig:
     ``m`` noise draws per example estimate Z(x;theta) unbiasedly, since
     E_{p_N}[exp(s - log p_N)] = Z. The stream field keys the draws; the
     full-batch optimizer keeps it fixed so line-search comparisons see a
-    deterministic objective, while epoch-based training may advance it.
+    deterministic objective.
     """
 
     alpha: float
@@ -247,13 +247,8 @@ def posteriors(
 # population objectives
 
 
-class PopulationEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
 def check_term_budget(terms: int, what: str) -> None:
-    """Refuse an exact sum over more than TERM_BUDGET ordered candidate tuples."""
+    """Refuse an exact sum over more than TERM_BUDGET terms."""
     if terms > TERM_BUDGET:
         raise BudgetError(
             f"exact {what} needs {terms} terms, over the {TERM_BUDGET} budget; "
@@ -336,11 +331,12 @@ def population_ranking_value_grad(
     The positive label is summed over Y and the K i.i.d. negatives over the
     C(m_y+K-1, K) count vectors of ``count_vectors``, each weighted by
     p_x p(u|x) times its multinomial probability (``ranking_count_terms``).
-    The term budget still counts the m_x * m_y**(K+1) ordered candidate
-    tuples that this sum replaces.
+    The term budget counts the m_x * m_y * C(m_y+K-1, K) terms of this sum.
     """
     _check_k(k)
-    check_term_budget(problem.m_x * problem.m_y ** (k + 1), "ranking objective")
+    check_term_budget(
+        problem.m_x * problem.m_y * math.comb(problem.m_y + k - 1, k), "ranking objective"
+    )
     theta = check_params(theta, sf.n_params)
     shat = _shifted_table(sf, theta, noise)
     total = 0.0
@@ -357,31 +353,9 @@ def population_ranking_objective(
     problem: ConditionalProblem,
     noise: NoiseDistribution,
     k: int,
-    mode: str = "exact",
-    num_samples: int | None = None,
-    seed: int = 0,
-):
-    """Expected ranking objective under the data and noise distributions.
-
-    mode="exact" is the value of population_ranking_value_grad, a float.
-    mode="mc" averages num_samples simulated tuples and returns a
-    PopulationEstimate(value, stderr).
-    """
-    _check_k(k)
-    if mode == "exact":
-        return population_ranking_value_grad(sf, theta, problem, noise, k)[0]
-    if mode == "mc":
-        if num_samples is None or num_samples < 2:
-            raise ValidationError("monte-carlo mode needs num_samples >= 2")
-        shat = _shifted_table(sf, theta, noise)
-        rng = derive_rng(seed, 3)
-        x, labels = _simulate_tuples(problem, noise, k, num_samples, rng)
-        cand = shat[x[:, None], labels]
-        terms = cand[:, 0] - logsumexp(cand, axis=1)
-        value = float(terms.mean())
-        stderr = float(terms.std(ddof=1) / np.sqrt(num_samples))
-        return PopulationEstimate(value, stderr)
-    raise ValidationError(f"unknown mode '{mode}' (expected 'exact' or 'mc')")
+) -> float:
+    """Expected ranking objective under the data and noise distributions."""
+    return population_ranking_value_grad(sf, theta, problem, noise, k)[0]
 
 
 def _simulate_tuples(problem, noise, k, size, rng):
@@ -409,16 +383,6 @@ def population_binary_value_grad(
     return _binary_value_grad(sf, bp, noise, k, problem.p_xy, w_neg)
 
 
-def population_ranking_gradient(
-    sf: ScoringFunction,
-    theta: np.ndarray,
-    problem: ConditionalProblem,
-    noise: NoiseDistribution,
-    k: int,
-) -> np.ndarray:
-    return population_ranking_value_grad(sf, theta, problem, noise, k)[1]
-
-
 def population_binary_objective(
     sf: ScoringFunction,
     bp: BinaryParams,
@@ -427,16 +391,6 @@ def population_binary_objective(
     k: int,
 ) -> float:
     return population_binary_value_grad(sf, bp, problem, noise, k)[0]
-
-
-def population_binary_gradient(
-    sf: ScoringFunction,
-    bp: BinaryParams,
-    problem: ConditionalProblem,
-    noise: NoiseDistribution,
-    k: int,
-) -> np.ndarray:
-    return population_binary_value_grad(sf, bp, problem, noise, k)[1]
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,7 @@ success. Acceptance demands strict improvement, so the trace is
 nondecreasing by construction and a tolerance below the float-noise floor
 ends in an explicit stall report instead of a limit cycle. Desk-scale
 problems fit in memory, so there is no stochasticity to average away and
-identical (config, inputs) produce bit-identical reports. A minibatch
-loop exists for the language-model experiment only.
+identical (config, inputs) produce bit-identical reports.
 
 Binary fits append gamma as the last coordinate and clamp it to the
 configured interval after every step (the maximizer is assumed interior;
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +34,10 @@ from .objectives import (
     regularizer_draws,
     regularizer_from_draws,
 )
-from .sampling import (
-    Dataset,
-    NoiseDistribution,
-    SamplingConfig,
-    derive_rng,
-    sample_negatives,
-)
+from .sampling import Dataset, NoiseDistribution, derive_rng
 
 OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-binary")
+_INITIAL_STEP = 1.0
 _MIN_STEP = 1e-18
 _ARMIJO = 1e-4
 
@@ -54,7 +48,6 @@ class FitConfig:
     k: int = 1
     reg: RegularizerConfig | None = None
     max_iters: int = 5000
-    step_size: float = 1.0
     tol: float = 1e-7
     gamma_range: tuple[float, float] = (-30.0, 30.0)
     init: str = "zeros"
@@ -95,10 +88,14 @@ class EstimationReport:
     converged: bool
     stalled: bool
     message: str
-    trace: list[tuple[int, float]]
     trace_detail: list[tuple[int, float, float, float]]
     config_digest: str
     data_digest: str
+
+    @property
+    def trace(self) -> list[tuple[int, float]]:
+        """(iteration, objective) of every accepted iterate."""
+        return [(i, value) for i, value, _, _ in self.trace_detail]
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,8 +202,7 @@ def fit(
         raise InitializationError(
             f"objective non-finite at the initial point (value={value!r})"
         )
-    step = cfg.step_size
-    trace = [(0, value)]
+    step = _INITIAL_STEP
     grad_norm = float(np.linalg.norm(grad))
     trace_detail = [(0, value, grad_norm, step)]
     stalled = False
@@ -243,7 +239,6 @@ def fit(
         accepted_step = step
         step *= 1.1
         iterations = iteration
-        trace.append((iteration, value))
         trace_detail.append((iteration, value, grad_norm, accepted_step))
         if callback is not None:
             callback(iteration, params)
@@ -263,7 +258,6 @@ def fit(
         converged=converged,
         stalled=stalled,
         message=message,
-        trace=trace,
         trace_detail=trace_detail,
         config_digest=cfg.digest(),
         data_digest=data_digest,
@@ -275,77 +269,3 @@ def _problem_digest(problem: ConditionalProblem) -> str:
     h.update(problem.p_x.tobytes())
     h.update(problem.p_y_given_x.tobytes())
     return h.hexdigest()[:16]
-
-
-def fit_minibatch(
-    sf: ScoringFunction,
-    dataset: Dataset,
-    noise: NoiseDistribution | None,
-    cfg: FitConfig,
-    batch_size: int,
-    epochs: int,
-    step_size: float | None = None,
-    resample_negatives: bool = False,
-) -> EstimationReport:
-    """Epoch-based minibatch ascent for the LM experiment.
-
-    Shuffling is fixed by (cfg.seed, epoch); the step size decays as
-    1/sqrt(epoch). Negatives may optionally be redrawn each epoch. The
-    trace records the full objective once per epoch.
-    """
-    if cfg.objective not in ("ranking", "binary", "mle"):
-        raise ValidationError("minibatch mode supports the sampled objectives only")
-    if batch_size < 1 or epochs < 1:
-        raise ValidationError("batch_size and epochs must be >= 1")
-    base_step = cfg.step_size if step_size is None else step_size
-    params = _initial_params(sf, cfg)
-    epoch_data = dataset
-    trace = []
-    value = float("nan")
-    for epoch in range(epochs):
-        if resample_negatives and epoch > 0:
-            scfg = SamplingConfig(k=dataset.k, seed=cfg.seed, stream=1000 + epoch)
-            epoch_data = Dataset(
-                x=dataset.x,
-                y=dataset.y,
-                negatives=sample_negatives(scfg, noise, dataset.n),
-                provenance={**dataset.provenance, "resampled_epoch": epoch},
-            )
-        reg = cfg.reg
-        if reg is not None and reg.alpha > 0.0:
-            reg = replace(reg, stream=reg.stream + epoch)
-        epoch_cfg = replace(cfg, reg=reg)
-        order = derive_rng(cfg.seed, 6, epoch).permutation(epoch_data.n)
-        step = base_step / np.sqrt(1.0 + epoch)
-        for start in range(0, epoch_data.n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = Dataset(
-                x=epoch_data.x[idx],
-                y=epoch_data.y[idx],
-                negatives=epoch_data.negatives[idx],
-                provenance=epoch_data.provenance,
-            )
-            _, grad = _make_value_grad(sf, batch, noise, epoch_cfg)(params)
-            params = _clamp_gamma(params + step * grad, cfg)
-        value, grad = _make_value_grad(sf, epoch_data, noise, epoch_cfg)(params)
-        trace.append((epoch + 1, value))
-    grad_norm = float(np.linalg.norm(grad))
-    if _binary_tag(cfg.objective):
-        theta, gamma = params[:-1].copy(), float(params[-1])
-    else:
-        theta, gamma = params.copy(), None
-    return EstimationReport(
-        objective_tag=cfg.objective,
-        theta=theta,
-        gamma=gamma,
-        final_objective=value,
-        grad_norm=grad_norm,
-        iterations=epochs,
-        converged=grad_norm <= cfg.tol,
-        stalled=False,
-        message="minibatch",
-        trace=trace,
-        trace_detail=[(e, v, float("nan"), base_step / np.sqrt(e)) for e, v in trace],
-        config_digest=cfg.digest(),
-        data_digest=dataset.digest(),
-    )

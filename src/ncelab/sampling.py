@@ -379,24 +379,3 @@ def load_dataset_jsonl(path: str) -> Dataset:
         negatives=negatives,
         provenance=provenance,
     )
-
-
-def read_counts_file(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a plain-text "token count" file, one pair per line."""
-    tokens, counts = [], []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"counts file: line {lineno}: expected 'token count'")
-            tokens.append(parts[0])
-            try:
-                counts.append(int(parts[1]))
-            except ValueError as exc:
-                raise ValidationError(f"counts file: line {lineno}: bad count") from exc
-    if not tokens:
-        raise ValidationError("counts file: empty")
-    return tokens, np.asarray(counts, dtype=np.int64)

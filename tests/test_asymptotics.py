@@ -8,6 +8,7 @@ from scipy.special import log_expit, log_softmax
 
 from ncelab import (
     BinaryParams,
+    CovarianceReport,
     FitConfig,
     LinearFeatures,
     NoiseDistribution,
@@ -15,7 +16,6 @@ from ncelab import (
     binary_asymptotic_cov,
     fisher_information,
     make_self_normalized_problem,
-    mse_infinity,
     population_binary_objective,
     problem_from_scores,
     random_tabular_problem,
@@ -24,7 +24,6 @@ from ncelab import (
 )
 from ncelab.asymptotics import (
     COLLAPSE_TOL,
-    CovarianceReport,
     _exact_ranking_factors,
     decomposition_gap,
 )
@@ -123,11 +122,12 @@ class TestRankingCov:
     def test_budget_error(self):
         from ncelab import BudgetError
 
+        # m_x * C(m_y+K-1, K) = 3 * C(27, 18) count vectors
         prob = random_tabular_problem(3, 10, 2, seed=9)
         noise = NoiseDistribution.uniform(10)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="needs 14060475 terms"):
             ranking_asymptotic_cov(
-                prob, prob.scoring, prob.theta_star, noise, 8, mode="exact"
+                prob, prob.scoring, prob.theta_star, noise, 18, mode="exact"
             )
 
     def test_integral_identity_spot_check(self):
@@ -317,14 +317,26 @@ class TestBinaryCov:
 
 class TestMseInfinity:
     def test_identity_matrix(self):
-        rep = CovarianceReport("mle", 1, np.eye(3), np.eye(3), "exact", 1.0)
-        assert mse_infinity(rep) == pytest.approx(1.0)
+        rep = CovarianceReport("mle", 1, np.eye(3), np.eye(3), "exact")
+        assert rep.mse_infinity == pytest.approx(1.0)
 
     def test_diagonal(self):
         inv = np.diag([1.0, 2.0, 3.0])
-        rep = CovarianceReport("mle", 1, np.linalg.inv(inv), inv, "exact", 2.0)
-        assert mse_infinity(rep) == pytest.approx(2.0)
-        assert mse_infinity(rep) == pytest.approx(np.mean(np.linalg.eigvalsh(inv)))
+        rep = CovarianceReport("mle", 1, np.linalg.inv(inv), inv, "exact")
+        assert rep.mse_infinity == pytest.approx(2.0)
+        assert rep.mse_infinity == pytest.approx(np.mean(np.linalg.eigvalsh(inv)))
+
+    def test_equals_mean_eigenvalue_of_inverse(self):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(4)
+        for rep in (
+            ranking_asymptotic_cov(prob, sf, ts, noise, 4),
+            binary_asymptotic_cov(prob, sf, ts, 0.0, noise, 4),
+        ):
+            assert rep.mse_infinity == pytest.approx(
+                np.mean(np.linalg.eigvalsh(rep.inverse)), rel=1e-12
+            )
 
 
 class TestInformationOrdering:

@@ -139,15 +139,42 @@ class TestCounterexample:
                 assert ratio == pytest.approx(1 / 3, abs=1e-4)
 
 
+@pytest.fixture()
+def self_normalized_file(tmp_path):
+    path = tmp_path / "sn.json"
+    assert run(["synth", "--kind", "self-normalized", "--d", 3, "--m-x", 6,
+                "--m-y", 4, "--seed", 38, "--out", path]) == 0
+    return path
+
+
 class TestAsymptotics:
-    def test_budget_exit_code(self, tmp_path):
-        path = tmp_path / "sn.json"
-        run(["synth", "--kind", "self-normalized", "--d", 3, "--m-x", 6,
-             "--m-y", 4, "--seed", 38, "--out", path])
+    def test_budget_exit_code(self, self_normalized_file, tmp_path, capsys):
+        # 6 contexts * C(4+256-1, 256) count vectors
         assert run([
-            "asymptotics", "--problem", path, "--estimator", "ranking",
-            "--K", "40", "--out", tmp_path / "r.csv",
+            "asymptotics", "--problem", self_normalized_file, "--estimator", "ranking",
+            "--K", "256", "--out", tmp_path / "r.csv",
         ]) == 4
+        assert "needs 17173254 terms" in capsys.readouterr().err
+
+    def test_exact_k12_within_budget(self, self_normalized_file, tmp_path):
+        # 6 contexts, C(15, 12) = 455 count vectors each
+        out = tmp_path / "r.csv"
+        assert run([
+            "asymptotics", "--problem", self_normalized_file, "--estimator", "ranking",
+            "--K", "12", "--out", out,
+        ]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[2].startswith("ranking,12,")
+
+    @pytest.mark.parametrize("grid", ["1,x", ""])
+    def test_malformed_k_list_exits_2(self, self_normalized_file, tmp_path, capsys, grid):
+        assert run([
+            "asymptotics", "--problem", self_normalized_file, "--K", grid,
+            "--out", tmp_path / "r.csv",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: --K expects comma-separated integers, got {grid!r}\n"
+        )
 
     def test_rate_rows(self, tmp_path):
         path = tmp_path / "sn.json"
@@ -223,6 +250,13 @@ class TestReplicate:
 
 
 class TestLm:
+    def test_help_lists_no_minibatch_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["lm", "--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--batch-size", "--epochs", "--resample-negatives"):
+            assert flag not in usage
+
     def test_bundled_corpus_run(self, tmp_path):
         out = tmp_path / "lm.json"
         assert run([

@@ -12,9 +12,9 @@ from ncelab import (
     d_metric,
     evaluate,
     kl_divergence,
-    perplexity,
     random_tabular_problem,
 )
+from ncelab.lm import HistoryTable, Vocab, corpus_perplexity
 
 
 class TestKl:
@@ -110,15 +110,22 @@ def bigram_table_model(vocab, log_probs):
     return sf, np.asarray(log_probs).ravel()
 
 
+def bigram_history_table(size):
+    """Bigram history table over ``size`` word ids: history row i is word i."""
+    vocab = Vocab.build([f"w{i:03d}" for i in range(size - 1)])
+    assert vocab.size == size
+    return HistoryTable(2, vocab, np.zeros(0, dtype=np.int64))
+
+
 class TestPerplexity:
+    """``lm.corpus_perplexity`` on bigram streams against closed-form oracles."""
+
     def test_uniform_model_equals_vocab_size(self):
         vocab = 50
         sf = LinearFeatures(np.zeros((vocab, vocab, 1)))
         rng = np.random.default_rng(10)
         tokens = rng.integers(0, vocab, 300)
-        got = perplexity(
-            sf, np.zeros(1), tokens, order=2, history_lookup=lambda h: int(h[0])
-        )
+        got = corpus_perplexity(sf, np.zeros(1), bigram_history_table(vocab), tokens, 2)
         assert got == pytest.approx(50.0, rel=1e-12)
 
     def test_deterministic_text_peaked_model(self):
@@ -138,32 +145,23 @@ class TestPerplexity:
         gap = 40.0
         scores = np.where(mle_probs > 0, gap, 0.0)
         sf, theta = bigram_table_model([0, 1], scores)
-        got = perplexity(sf, theta, tokens, order=2, history_lookup=lambda h: int(h[0]))
+        table = bigram_history_table(2)
+        got = corpus_perplexity(sf, theta, table, tokens, 2)
         assert got == pytest.approx(1.0, abs=1e-6)
         # monotone: a weaker gap gives a strictly larger perplexity
-        weaker = perplexity(
-            sf,
-            theta / 2,
-            tokens,
-            order=2,
-            history_lookup=lambda h: int(h[0]),
-        )
+        weaker = corpus_perplexity(sf, theta / 2, table, tokens, 2)
         assert weaker > got
 
     def test_empty_stream_rejected(self):
         sf = LinearFeatures(np.zeros((2, 2, 1)))
         with pytest.raises(ValidationError):
-            perplexity(sf, np.zeros(1), [0], order=2, history_lookup=lambda h: 0)
+            corpus_perplexity(sf, np.zeros(1), bigram_history_table(2), np.array([0]), 2)
 
     def test_perplexity_at_least_one(self):
         prob = random_tabular_problem(3, 3, 2, seed=11)
         rng = np.random.default_rng(12)
         tokens = rng.integers(0, 3, 100)
-        got = perplexity(
-            prob.scoring,
-            prob.theta_star,
-            tokens,
-            order=2,
-            history_lookup=lambda h: int(h[0]),
+        got = corpus_perplexity(
+            prob.scoring, prob.theta_star, bigram_history_table(3), tokens, 2
         )
         assert got >= 1.0

@@ -105,16 +105,6 @@ class TestExperiment:
         assert reg.reg_penalty_sampled is not None
         assert reg.reg_target_exact is not None
 
-    def test_minibatch_mode_runs(self):
-        rep = run_lm_experiment(
-            SMALL_TEXT,
-            LmConfig(loss="ranking", k=4, dim=8, seed=2, batch_size=64, epochs=3,
-                     resample_negatives=True),
-        )
-        assert rep.fit.message == "minibatch"
-        assert len(rep.epoch_rows) >= 1
-        assert rep.valid_ppl >= 1.0
-
     def test_binary_loss_runs(self):
         rep = run_lm_experiment(
             SMALL_TEXT, LmConfig(loss="binary", k=8, dim=8, max_iters=60, seed=3)

@@ -1,4 +1,4 @@
-"""Scoring functions, partitions, conditionals, and problem validation."""
+"""Scoring functions, shifted scores, conditionals, and problem validation."""
 
 import json
 
@@ -14,15 +14,13 @@ from ncelab import (
     LinearSoftmax,
     LogBilinear,
     NoiseDistribution,
-    NumericError,
     ValidationError,
     cond_prob,
     cond_prob_table,
     counterexample_problem,
-    partition,
     problem_from_scores,
-    shifted_score,
 )
+from ncelab.objectives import _shifted_table
 
 
 def finite_difference_grad(fn, theta, h=1e-5):
@@ -127,14 +125,14 @@ class TestShiftedScore:
     def test_uniform_noise_zero_score(self):
         sf = LinearFeatures(np.zeros((1, 4, 2)))
         noise = NoiseDistribution.uniform(4)
-        assert shifted_score(sf, np.zeros(2), noise, 0, 1) == pytest.approx(np.log(4.0))
+        np.testing.assert_allclose(_shifted_table(sf, np.zeros(2), noise), np.log(4.0))
 
     def test_hand_arithmetic(self):
         features = np.zeros((1, 4, 1))
         features[0, 2, 0] = 1.0
         sf = LinearFeatures(features)
         noise = NoiseDistribution.uniform(4)
-        got = shifted_score(sf, np.array([1.0]), noise, 0, 2)
+        got = _shifted_table(sf, np.array([1.0]), noise)[0, 2]
         assert got == pytest.approx(1.0 + np.log(4.0))
         assert got == pytest.approx(2.3862943611, abs=1e-9)
 
@@ -147,43 +145,7 @@ class TestShiftedScore:
         dots = v_in @ v_out.T
         features = (dots + noise.log_probs[None, :])[:, :, None]
         sf = LinearFeatures(features)
-        theta = np.array([1.0])
-        for x in range(3):
-            for y in range(5):
-                assert shifted_score(sf, theta, noise, x, y) == pytest.approx(
-                    dots[x, y], abs=1e-12
-                )
-
-
-class TestPartition:
-    def test_all_zero_scores(self):
-        sf = LinearFeatures(np.zeros((2, 5, 1)))
-        assert partition(sf, np.zeros(1), 0) == pytest.approx(5.0, abs=1e-12)
-
-    def test_counterexample_values(self):
-        p = counterexample_problem()
-        assert partition(p.scoring, p.theta_star, 0) == pytest.approx(4.0, rel=1e-12)
-        assert partition(p.scoring, p.theta_star, 1) == pytest.approx(6.0, rel=1e-12)
-
-    def test_matches_naive_summation(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            scores = rng.standard_normal((1, 3))
-            sf = LinearFeatures(scores[:, :, None])
-            naive = sum(np.exp(s) for s in scores[0])
-            assert partition(sf, np.array([1.0]), 0) == pytest.approx(naive, rel=1e-12)
-
-    def test_large_scores_survive_the_shift(self):
-        sf = LinearFeatures(np.full((1, 3, 1), 700.0))
-        # naive exp(700) would overflow in the sum; log-sum-exp must not
-        from ncelab import log_partition
-
-        assert log_partition(sf, np.array([1.0]), 0) == pytest.approx(700.0 + np.log(3))
-
-    def test_overflow_beyond_exponent_range_raises(self):
-        sf = LinearFeatures(np.full((1, 3, 1), 1e4))
-        with pytest.raises(NumericError, match="x=0"):
-            partition(sf, np.array([1.0]), 0)
+        np.testing.assert_allclose(_shifted_table(sf, np.array([1.0]), noise), dots, atol=1e-12)
 
 
 class TestCondProb:

@@ -15,11 +15,7 @@ from ncelab import (
     sample_negatives,
     unigram_power,
 )
-from ncelab.sampling import (
-    load_dataset_jsonl,
-    read_counts_file,
-    save_dataset_jsonl,
-)
+from ncelab.sampling import load_dataset_jsonl, save_dataset_jsonl
 
 
 class TestNoiseDistribution:
@@ -160,11 +156,9 @@ class TestGenerateDataset:
 
 class TestCounterexampleProblem:
     def test_partition_values(self):
-        from ncelab import partition
-
         p = counterexample_problem()
-        assert partition(p.scoring, p.theta_star, 0) == pytest.approx(4.0, rel=1e-12)
-        assert partition(p.scoring, p.theta_star, 1) == pytest.approx(6.0, rel=1e-12)
+        z = np.exp(p.scoring.score_table(p.theta_star)).sum(axis=1)
+        np.testing.assert_allclose(z, [4.0, 6.0], rtol=1e-12)
 
     def test_joint_table(self):
         p = counterexample_problem()
@@ -189,18 +183,3 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.x, ds.x)
         np.testing.assert_array_equal(loaded.negatives, ds.negatives)
         assert loaded.provenance == ds.provenance
-
-    def test_counts_file(self, tmp_path):
-        path = tmp_path / "counts.txt"
-        path.write_text("the 120\nof 60\ncat 3\n")
-        tokens, counts = read_counts_file(str(path))
-        assert tokens == ["the", "of", "cat"]
-        np.testing.assert_array_equal(counts, [120, 60, 3])
-        nd = unigram_power(counts, 0.75)
-        assert nd.size == 3
-
-    def test_counts_file_bad_line(self, tmp_path):
-        path = tmp_path / "counts.txt"
-        path.write_text("the 120\nbroken\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            read_counts_file(str(path))
