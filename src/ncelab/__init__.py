@@ -12,13 +12,10 @@ from .errors import (
 from .model import (
     ConditionalProblem,
     ContextBias,
-    InputSpace,
-    LabelSpace,
     LinearFeatures,
     LinearSoftmax,
     LogBilinear,
     ScoringFunction,
-    cond_prob,
     cond_prob_table,
     log_cond_prob_table,
     problem_from_scores,

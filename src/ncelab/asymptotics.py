@@ -332,24 +332,6 @@ def binary_asymptotic_cov(
     return report
 
 
-def decomposition_gap(
-    problem: ConditionalProblem,
-    sf: ScoringFunction,
-    theta_star: np.ndarray,
-    gamma_star: float,
-    noise: NoiseDistribution,
-    k: int,
-) -> float:
-    """Max cell gap of p_XY (1 - sig) = K p_X p_N sig at the truth."""
-    stilde = (
-        _shifted_table(sf, theta_star, noise) - gamma_star - np.log(k)
-    )
-    sig = expit(stilde)
-    lhs = problem.p_xy * (1.0 - sig)
-    rhs = k * problem.p_x[:, None] * noise.probs[None, :] * sig
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def replicate(
     problem: ConditionalProblem,
     fit_cfg: FitConfig,

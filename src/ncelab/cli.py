@@ -31,7 +31,7 @@ from .errors import BudgetError, NumericError, ValidationError
 from .evaluation import evaluate
 from .lm import LmConfig, run_lm_experiment
 from .manifest import RunManifest, Stopwatch, write_csv
-from .model import ConditionalProblem, ContextBias, cond_prob
+from .model import ConditionalProblem, ContextBias, cond_prob_table
 from .objectives import RegularizerConfig
 from .optimize import FitConfig, fit
 from .sampling import (
@@ -42,6 +42,7 @@ from .sampling import (
     load_dataset_jsonl,
     make_self_normalized_problem,
     make_synthetic_problem,
+    noise_power,
     random_tabular_problem,
     save_dataset_jsonl,
 )
@@ -52,19 +53,11 @@ COUNTEREXAMPLE_KS = (1, 2, 5, 10)
 def tabular_noise(problem: ConditionalProblem, spec: str) -> NoiseDistribution:
     """Noise over labels for tabular problems; 'unigram' means the label
     marginal p_Y, optionally raised to a power and renormalized."""
-    if spec == "uniform":
+    power = noise_power(spec)
+    if power is None:
         return NoiseDistribution.uniform(problem.m_y)
-    if spec == "unigram" or spec.startswith("unigram-pow:"):
-        power = 1.0
-        if spec.startswith("unigram-pow:"):
-            try:
-                power = float(spec.split(":", 1)[1])
-            except ValueError as exc:
-                raise ValidationError(f"bad noise spec '{spec}'") from exc
-        marginal = problem.p_x @ problem.p_y_given_x
-        weights = marginal**power
-        return NoiseDistribution(weights / weights.sum())
-    raise ValidationError(f"unknown noise spec '{spec}'")
+    weights = (problem.p_x @ problem.p_y_given_x) ** power
+    return NoiseDistribution(weights / weights.sum())
 
 
 def _parse_gamma_range(text: str) -> tuple[float, float]:
@@ -228,8 +221,8 @@ def cmd_counterexample(args) -> int:
                           max_iters=args.max_iters, seed=args.seed),
             )
             reports += [binary, ranking]
-            cond_b = cond_prob(sf, binary.theta, 0)
-            cond_r = cond_prob(sf, ranking.theta, 0)
+            cond_b = cond_prob_table(sf, binary.theta)[0]
+            cond_r = cond_prob_table(sf, ranking.theta)[0]
             ratio_b = cond_b[0] / cond_b[1]
             ratio_r = cond_r[0] / cond_r[1]
             d_b = d_metric_fn(problem, sf, binary.theta)
@@ -400,14 +393,14 @@ def cmd_lm(args) -> int:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
-        epoch_path = _out_base(args.out) + ".epochs.csv"
+        eval_path = _out_base(args.out) + ".evals.csv"
         write_csv(
-            epoch_path,
-            ["epoch", "train_ppl", "valid_ppl"],
-            report.epoch_rows,
+            eval_path,
+            ["iteration", "train_ppl", "valid_ppl"],
+            report.eval_rows,
             digest,
         )
-    manifest.output_paths = [args.out, epoch_path]
+    manifest.output_paths = [args.out, eval_path]
     manifest.wall_clock_seconds = watch.elapsed
     manifest.write(_out_base(args.out) + ".manifest.json")
     print(

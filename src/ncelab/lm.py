@@ -22,11 +22,14 @@ from .sampling import (
     Dataset,
     NoiseDistribution,
     SamplingConfig,
+    noise_power,
     sample_negatives,
     unigram_power,
 )
 
 UNK = "<unk>"
+_VALID_FRACTION = 0.1  # tail of the token stream held out for validation
+_EVAL_EVERY = 20  # fit iterations between perplexity evaluations
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,9 @@ class LmConfig:
     reg_alpha: float = 0.0
     reg_m: int | None = None  # default: vocab size // 10
     context_bias: bool = False
-    valid_fraction: float = 0.1
     seed: int = 0
     max_iters: int = 400
     tol: float = 1e-5
-    eval_every: int = 20
 
 
 @dataclass
@@ -134,7 +135,7 @@ class LmReport:
     log_z_var: float
     reg_penalty_sampled: float | None
     reg_target_exact: float | None
-    epoch_rows: list[tuple[int, float, float]]
+    eval_rows: list[tuple[int, float, float]]  # (fit iteration, train ppl, valid ppl)
     fit: EstimationReport
 
     def to_json_dict(self) -> dict:
@@ -148,9 +149,9 @@ class LmReport:
             "log_z_var": self.log_z_var,
             "reg_penalty_sampled": self.reg_penalty_sampled,
             "reg_target_exact": self.reg_target_exact,
-            "epochs": [
-                {"epoch": e, "train_ppl": tr, "valid_ppl": va}
-                for e, tr, va in self.epoch_rows
+            "evals": [
+                {"iteration": it, "train_ppl": tr, "valid_ppl": va}
+                for it, tr, va in self.eval_rows
             ],
             "fit": self.fit.to_json_dict(),
         }
@@ -158,24 +159,17 @@ class LmReport:
 
 
 def make_noise(kind: str, counts: np.ndarray) -> NoiseDistribution:
-    if kind == "uniform":
+    power = noise_power(kind)
+    if power is None:
         return NoiseDistribution.uniform(counts.size)
-    if kind == "unigram":
-        return unigram_power(counts, 1.0)
-    if kind.startswith("unigram-pow:"):
-        try:
-            power = float(kind.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad noise spec '{kind}'") from exc
-        return unigram_power(counts, power)
-    raise ValidationError(f"unknown noise kind '{kind}'")
+    return unigram_power(counts, power)
 
 
 def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
     tokens = tokenize(text)
     if not tokens:
         raise ValidationError("empty corpus")
-    split = int(round(len(tokens) * (1.0 - cfg.valid_fraction)))
+    split = int(round(len(tokens) * (1.0 - _VALID_FRACTION)))
     if split < cfg.order or len(tokens) - split < cfg.order:
         raise ValidationError("corpus too small for the requested split")
     train_tokens, valid_tokens = tokens[:split], tokens[split:]
@@ -222,7 +216,7 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
         seed=cfg.seed,
     )
 
-    epoch_rows: list[tuple[int, float, float]] = []
+    eval_rows: list[tuple[int, float, float]] = []
 
     def ppl_pair(theta: np.ndarray) -> tuple[float, float]:
         return (
@@ -231,15 +225,15 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
         )
 
     def on_iteration(iteration: int, params: np.ndarray) -> None:
-        if iteration % cfg.eval_every == 0:
+        if iteration % _EVAL_EVERY == 0:
             theta = params[:-1] if cfg.loss == "binary" else params
-            epoch_rows.append((iteration, *ppl_pair(theta)))
+            eval_rows.append((iteration, *ppl_pair(theta)))
 
     report = fit(sf, dataset, noise, fit_cfg, callback=on_iteration)
     theta = report.theta
     train_ppl, valid_ppl = ppl_pair(theta)
-    if not epoch_rows or epoch_rows[-1][0] != report.iterations:
-        epoch_rows.append((report.iterations, train_ppl, valid_ppl))
+    if not eval_rows or eval_rows[-1][0] != report.iterations:
+        eval_rows.append((report.iterations, train_ppl, valid_ppl))
 
     # partition-function spread over the held-out context sample
     valid_hist, _ = ngram_positions(valid_ids, cfg.order)
@@ -260,7 +254,7 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
         log_z_var=float(log_z.var()),
         reg_penalty_sampled=reg_sampled,
         reg_target_exact=reg_target,
-        epoch_rows=epoch_rows,
+        eval_rows=eval_rows,
         fit=report,
     )
 

@@ -2,15 +2,17 @@
 
 Scoring functions are closed enumerations (no plug-ins): a dense feature
 table, a per-label linear ("softmax regression") form, a per-context bias
-wrapper, and a log-bilinear n-gram form. Every variant exposes the same
-small surface:
+wrapper, and a log-bilinear n-gram form. The whole scorer contract is
 
-* ``score_table(theta)``     -- all scores as an (m_x, m_y) array,
+* ``score_table(theta)``        -- all scores as an (m_x, m_y) array,
 * ``accumulate_grad(theta, w)`` -- sum_{x,y} w[x,y] * grad s(x,y;theta),
 
-which is enough to evaluate every objective and covariance in the package
-without per-pair Python loops. Partition functions and conditionals always
-go through the max-shifted log-sum-exp; naive exponentiation overflows for
+which is enough to evaluate every objective in the package. The three
+linear tabular scorers (LinearFeatures, LinearSoftmax and ContextBias over
+either) also give ``grad_table(theta)``, the (m_x, m_y, n_params) tensor of
+per-cell gradients in closed form, which the asymptotic covariances need;
+LogBilinear, sized for language models, does not. Conditionals always go
+through the max-shifted log-sum-exp; naive exponentiation overflows for
 scores around 700.
 """
 
@@ -38,47 +40,10 @@ def check_params(theta: np.ndarray, n_params: int) -> np.ndarray:
     """Validate a flat parameter vector: right length, finite entries."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (n_params,):
-        raise ValidationError(
-            f"theta: expected shape ({n_params},), got {theta.shape}"
-        )
+        raise ValidationError(f"theta: expected shape ({n_params},), got {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValidationError("theta: non-finite entries")
     return theta
-
-
-@dataclass(frozen=True)
-class LabelSpace:
-    """Finite label set; indices 0..size-1, optional strings for LM use."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValidationError(f"label space: size must be >= 2, got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValidationError(
-                f"label space: {len(self.labels)} strings for size {self.size}"
-            )
-
-
-@dataclass(frozen=True)
-class InputSpace:
-    """Finite input set; optionally carries a feature row per input."""
-
-    size: int
-    features: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValidationError(f"input space: size must be >= 1, got {self.size}")
-        if self.features is not None:
-            f = _readonly(self.features)
-            if f.ndim != 2 or f.shape[0] != self.size:
-                raise ValidationError(
-                    f"input space: features must be ({self.size}, d), got {f.shape}"
-                )
-            object.__setattr__(self, "features", f)
 
 
 class ScoringFunction:
@@ -96,36 +61,10 @@ class ScoringFunction:
         """sum_{x,y} weights[x,y] * grad_theta s(x,y;theta), shape (n_params,)."""
         raise NotImplementedError
 
-    def score(self, theta: np.ndarray, x: int, y: int) -> float:
-        theta = check_params(theta, self.n_params)
-        self._check_indices(x, y)
-        return float(self.score_table(theta)[x, y])
-
-    def score_grad(self, theta: np.ndarray, x: int, y: int) -> np.ndarray:
-        theta = check_params(theta, self.n_params)
-        self._check_indices(x, y)
-        w = np.zeros((self.m_x, self.m_y))
-        w[x, y] = 1.0
-        return self.accumulate_grad(theta, w)
-
     def grad_table(self, theta: np.ndarray) -> np.ndarray:
-        """Per-pair gradients, shape (m_x, m_y, n_params).
-
-        Dense; intended for the small tabular problems used in the
-        asymptotics module, not for LM-scale scoring functions.
-        """
-        theta = check_params(theta, self.n_params)
-        out = np.empty((self.m_x, self.m_y, self.n_params))
-        for x in range(self.m_x):
-            for y in range(self.m_y):
-                out[x, y] = self.score_grad(theta, x, y)
-        return out
-
-    def _check_indices(self, x: int, y: int) -> None:
-        if not (0 <= x < self.m_x):
-            raise ValidationError(f"x index {x} out of range [0, {self.m_x})")
-        if not (0 <= y < self.m_y):
-            raise ValidationError(f"y index {y} out of range [0, {self.m_y})")
+        """Per-cell gradients, shape (m_x, m_y, n_params); linear tabular
+        scorers only, for the small problems of the asymptotics module."""
+        raise NotImplementedError
 
 
 class LinearFeatures(ScoringFunction):
@@ -147,10 +86,9 @@ class LinearFeatures(ScoringFunction):
     def accumulate_grad(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.einsum("xyd,xy->d", self.features, weights)
 
-    def score_grad(self, theta: np.ndarray, x: int, y: int) -> np.ndarray:
+    def grad_table(self, theta: np.ndarray) -> np.ndarray:
         check_params(theta, self.n_params)
-        self._check_indices(x, y)
-        return self.features[x, y].copy()
+        return self.features
 
 
 class LinearSoftmax(ScoringFunction):
@@ -182,12 +120,13 @@ class LinearSoftmax(ScoringFunction):
         self._weights(theta)
         return (weights.T @ self.inputs).ravel()
 
-    def score_grad(self, theta: np.ndarray, x: int, y: int) -> np.ndarray:
+    def grad_table(self, theta: np.ndarray) -> np.ndarray:
+        # cell (x, y) holds inputs[x] in label block y and zeros elsewhere
         self._weights(theta)
-        self._check_indices(x, y)
-        g = np.zeros((self.m_y, self.dim))
-        g[y] = self.inputs[x]
-        return g.ravel()
+        out = np.zeros((self.m_x, self.m_y, self.m_y, self.dim))
+        labels = np.arange(self.m_y)
+        out[:, labels, labels] = self.inputs[:, None, :]
+        return out.reshape(self.m_x, self.m_y, self.n_params)
 
 
 class ContextBias(ScoringFunction):
@@ -199,8 +138,7 @@ class ContextBias(ScoringFunction):
 
     def __init__(self, inner: ScoringFunction):
         self.inner = inner
-        self.m_x = inner.m_x
-        self.m_y = inner.m_y
+        self.m_x, self.m_y = inner.m_x, inner.m_y
         self.n_params = inner.n_params + inner.m_x
 
     def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,12 +154,12 @@ class ContextBias(ScoringFunction):
         inner_grad = self.inner.accumulate_grad(inner_theta, weights)
         return np.concatenate([inner_grad, -weights.sum(axis=1)])
 
-    def score_grad(self, theta: np.ndarray, x: int, y: int) -> np.ndarray:
+    def grad_table(self, theta: np.ndarray) -> np.ndarray:
         inner_theta, _ = self.split(theta)
-        self._check_indices(x, y)
-        bias_grad = np.zeros(self.m_x)
-        bias_grad[x] = -1.0
-        return np.concatenate([self.inner.score_grad(inner_theta, x, y), bias_grad])
+        # -e_x per context; -np.eye would put -0.0 off the diagonal
+        bias_grad = np.where(np.eye(self.m_x, dtype=bool), -1.0, 0.0)
+        bias_grad = np.broadcast_to(bias_grad[:, None, :], (self.m_x, self.m_y, self.m_x))
+        return np.concatenate([self.inner.grad_table(inner_theta), bias_grad], axis=2)
 
 
 class LogBilinear(ScoringFunction):
@@ -301,35 +239,6 @@ class LogBilinear(ScoringFunction):
             parts.append(-weights.sum(axis=1))
         return np.concatenate(parts)
 
-    def score_grad(self, theta: np.ndarray, x: int, y: int) -> np.ndarray:
-        self._check_indices(x, y)
-        ctx_mats, r, q, b, c = self.unpack(theta)
-        rep = np.zeros(self.dim)
-        for i in range(self.n_ctx):
-            rep += ctx_mats[i] @ r[self.histories[x, i]]
-        d_ctx = np.zeros_like(ctx_mats)
-        d_r = np.zeros_like(r)
-        for i in range(self.n_ctx):
-            d_ctx[i] = np.outer(q[y], r[self.histories[x, i]])
-            d_r[self.histories[x, i]] += ctx_mats[i].T @ q[y]
-        d_q = np.zeros_like(q)
-        d_q[y] = rep
-        d_b = np.zeros(self.m_y)
-        d_b[y] = 1.0
-        parts = [d_ctx.ravel(), d_r.ravel(), d_q.ravel(), d_b]
-        if c is not None:
-            d_c = np.zeros(self.m_x)
-            d_c[x] = -1.0
-            parts.append(d_c)
-        return np.concatenate(parts)
-
-
-def cond_prob(sf: ScoringFunction, theta: np.ndarray, x: int) -> np.ndarray:
-    """Model conditional p(.|x;theta) as a probability vector over labels."""
-    theta = check_params(theta, sf.n_params)
-    sf._check_indices(x, 0)
-    return np.exp(log_softmax(sf.score_table(theta)[x]))
-
 
 def log_cond_prob_table(sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
     """log p(y|x;theta) for every pair, shape (m_x, m_y)."""
@@ -355,15 +264,13 @@ def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass
 class ConditionalProblem:
-    """Finite ground truth: spaces, p_X, p_{Y|X}, optional (sf, theta*, gamma*).
+    """Finite ground truth: p_X, p_{Y|X}, optional (sf, theta*, gamma*).
 
-    A present ``gamma_star`` asserts perfect self-normalization:
-    sum_y exp(s(x,y;theta*) - gamma*) = 1 for every x, checked at
-    construction within 1e-10.
+    m_x and m_y are the shape of ``p_y_given_x``. A present ``gamma_star``
+    asserts perfect self-normalization: sum_y exp(s(x,y;theta*) - gamma*)
+    = 1 for every x, checked at construction within 1e-10.
     """
 
-    input_space: InputSpace
-    label_space: LabelSpace
     p_x: np.ndarray
     p_y_given_x: np.ndarray
     scoring: ScoringFunction | None = None
@@ -372,15 +279,16 @@ class ConditionalProblem:
 
     def __post_init__(self) -> None:
         self.p_x = _check_prob_vector(self.p_x, "p_x")
-        if self.p_x.shape[0] != self.input_space.size:
-            raise ValidationError(
-                f"p_x: length {self.p_x.shape[0]} != input space size {self.input_space.size}"
-            )
         p = _readonly(self.p_y_given_x)
-        if p.shape != (self.input_space.size, self.label_space.size):
+        if p.ndim != 2:
+            raise ValidationError(f"p_y_given_x: expected an (m_x, m_y) table, got shape {p.shape}")
+        if p.shape[0] < 1:
+            raise ValidationError(f"p_y_given_x: need at least 1 input, got {p.shape[0]}")
+        if p.shape[1] < 2:
+            raise ValidationError(f"p_y_given_x: need at least 2 labels, got {p.shape[1]}")
+        if self.p_x.shape[0] != p.shape[0]:
             raise ValidationError(
-                f"p_y_given_x: expected shape ({self.input_space.size}, "
-                f"{self.label_space.size}), got {p.shape}"
+                f"p_x: length {self.p_x.shape[0]} != {p.shape[0]} inputs of p_y_given_x"
             )
         if np.any(p <= 0.0):
             raise ValidationError("p_y_given_x: all entries must be > 0")
@@ -396,7 +304,7 @@ class ConditionalProblem:
                 raise ValidationError("theta_star given without a scoring function")
             self.theta_star = check_params(self.theta_star, self.scoring.n_params)
             if (self.scoring.m_x, self.scoring.m_y) != (self.m_x, self.m_y):
-                raise ValidationError("scoring function shape does not match the spaces")
+                raise ValidationError("scoring function shape does not match p_y_given_x")
             if self.gamma_star is not None:
                 table = self.scoring.score_table(self.theta_star)
                 norms = np.exp(logsumexp(table - self.gamma_star, axis=1))
@@ -410,11 +318,11 @@ class ConditionalProblem:
 
     @property
     def m_x(self) -> int:
-        return self.input_space.size
+        return self.p_y_given_x.shape[0]
 
     @property
     def m_y(self) -> int:
-        return self.label_space.size
+        return self.p_y_given_x.shape[1]
 
     @property
     def p_xy(self) -> np.ndarray:
@@ -459,22 +367,20 @@ class ConditionalProblem:
         for field in ("m_x", "m_y", "p_x", "p_y_given_x"):
             if field not in obj:
                 raise ValidationError(f"problem json: missing field '{field}'")
-        m_x, m_y = int(obj["m_x"]), int(obj["m_y"])
-        p_x = np.asarray(obj["p_x"], dtype=np.float64)
-        p_yx = np.asarray(obj["p_y_given_x"], dtype=np.float64)
+        m_x, m_y = _json_field(obj, "m_x", _json_size), _json_field(obj, "m_y", _json_size)
+        p_x = _json_field(obj, "p_x", _json_floats)
+        p_yx = _json_field(obj, "p_y_given_x", _json_floats)
         if p_yx.size != m_x * m_y:
-            raise ValidationError(
-                f"p_y_given_x: expected {m_x * m_y} entries, got {p_yx.size}"
-            )
+            raise ValidationError(f"p_y_given_x: expected {m_x * m_y} entries, got {p_yx.size}")
         p_yx = p_yx.reshape(m_x, m_y)
         variant = obj.get("variant")
         scoring = None
         if variant is not None:
-            d = int(obj.get("d", 0))
+            d = _json_field(obj, "d", _json_size) if "d" in obj else 0
             if "features" not in obj:
                 raise ValidationError("problem json: variant given without 'features'")
-            feats = np.asarray(obj["features"], dtype=np.float64)
-            base = variant.removeprefix("context-bias:")
+            feats = _json_field(obj, "features", _json_floats)
+            base = str(variant).removeprefix("context-bias:")
             if base == "linear-features":
                 if feats.size != m_x * m_y * d:
                     raise ValidationError(
@@ -491,18 +397,17 @@ class ConditionalProblem:
                 raise ValidationError(f"problem json: unknown variant '{variant}'")
             if variant.startswith("context-bias:"):
                 scoring = ContextBias(scoring)
-        theta_star = obj.get("theta_star")
-        if theta_star is not None:
-            theta_star = np.asarray(theta_star, dtype=np.float64)
-        gamma_star = obj.get("gamma_star")
+        theta_star = gamma_star = None
+        if obj.get("theta_star") is not None:
+            theta_star = _json_field(obj, "theta_star", _json_floats)
+        if obj.get("gamma_star") is not None:
+            gamma_star = _json_field(obj, "gamma_star", float)
         return cls(
-            input_space=InputSpace(m_x),
-            label_space=LabelSpace(m_y),
             p_x=p_x,
             p_y_given_x=p_yx,
             scoring=scoring,
             theta_star=theta_star,
-            gamma_star=None if gamma_star is None else float(gamma_star),
+            gamma_star=gamma_star,
         )
 
     @classmethod
@@ -513,6 +418,25 @@ class ConditionalProblem:
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"problem json: {exc}") from exc
         return cls.from_json_dict(obj)
+
+
+def _json_size(value) -> int:
+    size = int(value)
+    if size < 0:
+        raise ValueError(f"{size} is negative")
+    return size
+
+
+def _json_floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _json_field(obj: dict, name: str, convert):
+    """Convert one problem-json field, naming it when the value is malformed."""
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"problem json: bad field '{name}' ({exc})") from exc
 
 
 def _variant_tag(sf: ScoringFunction) -> tuple[str, ScoringFunction]:
@@ -537,13 +461,10 @@ def problem_from_scores(
     gamma_star: float | None = None,
 ) -> ConditionalProblem:
     """Build the ground-truth problem whose conditionals are the model's own."""
-    p_yx = cond_prob_table(scoring, theta_star)
     return ConditionalProblem(
-        input_space=InputSpace(scoring.m_x),
-        label_space=LabelSpace(scoring.m_y),
-        p_x=np.asarray(p_x, dtype=np.float64),
-        p_y_given_x=p_yx,
+        p_x=p_x,
+        p_y_given_x=cond_prob_table(scoring, theta_star),
         scoring=scoring,
-        theta_star=np.asarray(theta_star, dtype=np.float64),
+        theta_star=theta_star,
         gamma_star=gamma_star,
     )

@@ -18,15 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .model import (
-    ConditionalProblem,
-    InputSpace,
-    LabelSpace,
-    LinearFeatures,
-    LinearSoftmax,
-    cond_prob_table,
-    problem_from_scores,
-)
+from .model import ConditionalProblem, LinearFeatures, LinearSoftmax, problem_from_scores
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -82,6 +74,23 @@ class NoiseDistribution:
 
     def digest(self) -> str:
         return hashlib.sha256(self.probs.tobytes()).hexdigest()[:16]
+
+
+def noise_power(spec: str) -> float | None:
+    """Power on the unigram masses named by a noise spec; None for uniform.
+
+    Specs: ``uniform``, ``unigram`` (power 1) and ``unigram-pow:<p>``.
+    """
+    if spec == "uniform":
+        return None
+    if spec == "unigram":
+        return 1.0
+    if spec.startswith("unigram-pow:"):
+        try:
+            return float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"bad noise spec '{spec}'") from exc
+    raise ValidationError(f"unknown noise spec '{spec}'")
 
 
 def unigram_power(counts, power: float) -> NoiseDistribution:
@@ -141,9 +150,9 @@ class Dataset:
         n = self.x.size
         if self.y.shape != (n,):
             raise ValidationError(f"dataset: y shape {self.y.shape} != ({n},)")
-        if self.negatives.ndim != 2 or self.negatives.shape[0] != n:
+        if self.negatives.ndim != 2 or self.negatives.shape[0] != n or self.negatives.shape[1] < 1:
             raise ValidationError(
-                f"dataset: negatives shape {self.negatives.shape} is not (n={n}, K)"
+                f"dataset: negatives shape {self.negatives.shape} is not (n={n}, K) with K >= 1"
             )
         for arr in (self.x, self.y, self.negatives):
             arr.flags.writeable = False
@@ -206,6 +215,8 @@ def generate_dataset(
     noise: NoiseDistribution,
 ) -> Dataset:
     """Draw (x, y) pairs from the problem and attach sampled negatives."""
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
     if noise.size != problem.m_y:
         raise ValidationError(
             f"noise size {noise.size} != label space size {problem.m_y}"
@@ -275,32 +286,21 @@ def make_synthetic_problem(
     rng = derive_rng(seed, 0)
     inputs = _gaussian_mixture(rng, (m_x, d))
     weights = theta_scale * _gaussian_mixture(rng, (m_y, d))
-    scoring = LinearSoftmax(inputs, m_y)
-    theta_star = weights.ravel()
-    return ConditionalProblem(
-        input_space=InputSpace(m_x, features=inputs),
-        label_space=LabelSpace(m_y),
-        p_x=np.full(m_x, 1.0 / m_x),
-        p_y_given_x=cond_prob_table(scoring, theta_star),
-        scoring=scoring,
-        theta_star=theta_star,
+    return problem_from_scores(
+        LinearSoftmax(inputs, m_y), weights.ravel(), p_x=np.full(m_x, 1.0 / m_x)
     )
 
 
-def random_tabular_problem(
-    m_x: int, m_y: int, d: int, seed: int, feature_scale: float = 1.0
-) -> ConditionalProblem:
+def random_tabular_problem(m_x: int, m_y: int, d: int, seed: int) -> ConditionalProblem:
     """Random dense-feature problem whose truth is its own model (realizable)."""
     rng = derive_rng(seed, 1)
-    features = feature_scale * rng.standard_normal((m_x, m_y, d))
+    features = rng.standard_normal((m_x, m_y, d))
     theta_star = rng.standard_normal(d) / np.sqrt(d)
     p_x = rng.random(m_x) + 0.2
     return problem_from_scores(LinearFeatures(features), theta_star, p_x / p_x.sum())
 
 
-def make_self_normalized_problem(
-    m_x: int, m_y: int, d: int, seed: int, feature_scale: float = 1.0
-) -> ConditionalProblem:
+def make_self_normalized_problem(m_x: int, m_y: int, d: int, seed: int) -> ConditionalProblem:
     """Realizable problem whose whole family has a constant partition function.
 
     Each context's feature rows are a permutation of one shared set of
@@ -315,7 +315,7 @@ def make_self_normalized_problem(
             f"need m_y > d for an identifiable construction, got m_y={m_y}, d={d}"
         )
     rng = derive_rng(seed, 2)
-    vectors = feature_scale * rng.standard_normal((m_y, d))
+    vectors = rng.standard_normal((m_y, d))
     theta_star = rng.standard_normal(d)
     theta_star /= np.linalg.norm(theta_star)
     gamma = float(logsumexp(vectors @ theta_star))
@@ -356,19 +356,27 @@ def load_dataset_jsonl(path: str) -> Dataset:
         header = f.readline()
         try:
             provenance = json.loads(header)["provenance"]
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValidationError(f"dataset jsonl: bad header line ({exc})") from exc
+        if not isinstance(provenance, dict):
+            raise ValidationError("dataset jsonl: header provenance is not an object")
         xs, ys, negs = [], [], []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                xs.append(rec["x"])
-                ys.append(rec["y"])
-                negs.append(rec["neg"])
-            except (json.JSONDecodeError, KeyError) as exc:
+                x, y, neg = int(rec["x"]), int(rec["y"]), [int(v) for v in rec["neg"]]
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"dataset jsonl: line {lineno}: {exc}") from exc
+            if negs and len(neg) != len(negs[0]):
+                raise ValidationError(
+                    f"dataset jsonl: line {lineno}: {len(neg)} negatives, "
+                    f"earlier lines have {len(negs[0])}"
+                )
+            xs.append(x)
+            ys.append(y)
+            negs.append(neg)
     k = provenance.get("k", len(negs[0]) if negs else 1)
     negatives = (
         np.asarray(negs, dtype=np.int64) if negs else np.empty((0, k), dtype=np.int64)

@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller in the package or the acceptance gate."""
+"""Every name the package exports, and every public function, class and
+method it defines, has a caller in the package or the acceptance gate."""
 
 import ast
 from pathlib import Path
@@ -17,19 +18,52 @@ def exported_names() -> set[str]:
     }
 
 
-def referenced_names(path: Path) -> set[str]:
-    """Names read as identifiers or imported by name; docstrings and comments do not count."""
+def public_definitions(path: Path) -> list[tuple[str, str]]:
+    """(qualified name, name) of module-level functions and classes and of
+    the methods of those classes, leaving out names that start with '_'."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def referenced_names(path: Path, attributes: bool = False) -> set[str]:
+    """Names read as identifiers or imported by name, and with ``attributes``
+    the names of attribute accesses; docstrings and comments do not count."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        elif attributes and isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
 
 
+def callers() -> list[Path]:
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return paths + [ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_export_has_a_caller():
-    callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    callers.append(ROOT / "tests" / "test_acceptance.py")
-    used = set().union(*(referenced_names(p) for p in callers))
+    used = set().union(*(referenced_names(p) for p in callers()))
     assert sorted(exported_names() - used) == []
+
+
+def test_every_public_definition_has_a_caller():
+    used = set().union(*(referenced_names(p, attributes=True) for p in callers()))
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, name in public_definitions(path)
+        if name not in used
+    ]
+    assert unused == []

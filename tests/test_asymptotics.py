@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.special import log_expit, log_softmax
+from scipy.special import expit, log_expit, log_softmax
 
 from ncelab import (
     BinaryParams,
@@ -22,11 +22,8 @@ from ncelab import (
     ranking_asymptotic_cov,
     replicate,
 )
-from ncelab.asymptotics import (
-    COLLAPSE_TOL,
-    _exact_ranking_factors,
-    decomposition_gap,
-)
+from ncelab.asymptotics import COLLAPSE_TOL, _exact_ranking_factors
+from ncelab.objectives import _shifted_table
 
 
 def two_label_problem(theta0=0.0):
@@ -225,11 +222,13 @@ class TestBinaryCov:
     def test_decomposition_identity_at_truth(self):
         prob = make_self_normalized_problem(6, 4, 3, seed=38)
         noise = NoiseDistribution.uniform(4)
+        shat = _shifted_table(prob.scoring, prob.theta_star, noise)
         for k in (1, 4, 16):
-            gap = decomposition_gap(
-                prob, prob.scoring, prob.theta_star, prob.gamma_star, noise, k
-            )
-            assert gap <= 1e-10
+            # p_XY (1 - sig) = K p_X p_N sig, sig the positive-class probability
+            sig = expit(shat - prob.gamma_star - np.log(k))
+            lhs = prob.p_xy * (1.0 - sig)
+            rhs = k * prob.p_x[:, None] * noise.probs[None, :] * sig
+            assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_rejects_non_self_normalized_problems(self):
         prob = random_tabular_problem(3, 4, 2, seed=15)

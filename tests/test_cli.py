@@ -264,8 +264,8 @@ class TestLm:
         ]) == 0
         report = json.loads(out.read_text())
         assert report["valid_ppl"] >= 1.0
-        epochs = (tmp_path / "lm.epochs.csv").read_text().splitlines()
-        assert epochs[1] == "epoch,train_ppl,valid_ppl"
+        evals = (tmp_path / "lm.evals.csv").read_text().splitlines()
+        assert evals[1] == "iteration,train_ppl,valid_ppl"
 
     def test_custom_corpus_and_unigram_noise(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -281,3 +281,50 @@ class TestLm:
         corpus = tmp_path / "c.txt"
         corpus.write_text("   \n")
         assert run(["lm", "--corpus", corpus, "--out", tmp_path / "x.json"]) == 2
+
+
+def _dataset_file(tmp_path, records, provenance=None):
+    path = tmp_path / "data.jsonl"
+    header = {"provenance": {"k": 2} if provenance is None else provenance}
+    lines = [json.dumps(header)] + [json.dumps(r) for r in records]
+    path.write_text("\n".join(lines) + "\n")
+    return ["fit", "--problem", tmp_path / "problem.json", "--dataset", path]
+
+
+def _problem_with(tmp_path, **fields):
+    path = tmp_path / "bad_problem.json"
+    obj = json.loads((tmp_path / "problem.json").read_text())
+    path.write_text(json.dumps({**obj, **fields}))
+    return ["fit", "--problem", path]
+
+
+def _features_problem(tmp_path):
+    path = tmp_path / "id.json"
+    assert run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
+                "--out", path]) == 0
+    return ["replicate", "--problem", path, "--replications", 2]
+
+
+MALFORMED_INPUTS = {
+    "ragged-negatives": lambda tmp: _dataset_file(
+        tmp, [{"x": 0, "y": 1, "neg": [0, 1]}, {"x": 1, "y": 0, "neg": [2]}]
+    ),
+    "non-integer-x": lambda tmp: _dataset_file(tmp, [{"x": "a", "y": 1, "neg": [0, 1]}]),
+    "no-negatives": lambda tmp: _dataset_file(tmp, [{"x": 0, "y": 1, "neg": []}]),
+    "list-provenance": lambda tmp: _dataset_file(
+        tmp, [{"x": 0, "y": 1, "neg": [0, 1]}], provenance=[1]
+    ),
+    "non-integer-m_x": lambda tmp: _problem_with(tmp, m_x="x"),
+    "non-string-variant": lambda tmp: _problem_with(tmp, variant=3),
+    "fit-negative-n": lambda tmp: ["fit", "--problem", tmp / "problem.json", "--n", -5],
+    "replicate-negative-n": lambda tmp: _features_problem(tmp) + ["--n", -1],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+    def test_exits_2_with_validation_error(self, problem_file, tmp_path, capsys, case):
+        argv = MALFORMED_INPUTS[case](tmp_path) + ["--out", tmp_path / "out.json"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("validation error:")

@@ -29,11 +29,11 @@ class TestKl:
         rng = np.random.default_rng(3)
         theta = prob.theta_star + rng.standard_normal(3)
         got = kl_divergence(prob, prob.scoring, theta)
-        from ncelab import cond_prob
+        from ncelab import cond_prob_table
 
         want = 0.0
         for x in range(prob.m_x):
-            q = cond_prob(prob.scoring, theta, x)
+            q = cond_prob_table(prob.scoring, theta)[x]
             for y in range(prob.m_y):
                 p = prob.p_y_given_x[x, y]
                 want += prob.p_x[x] * p * np.log(p / q[y])

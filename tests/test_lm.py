@@ -84,7 +84,7 @@ class TestExperiment:
         )
         assert rep.train_ppl < 8.0  # 12 word types, strong bigram structure
         assert rep.valid_ppl < 10.0
-        assert rep.epoch_rows[-1][0] == rep.fit.iterations
+        assert rep.eval_rows[-1][0] == rep.fit.iterations
 
     def test_ranking_close_to_mle_on_tiny_text(self):
         mle = run_lm_experiment(SMALL_TEXT, LmConfig(loss="mle", dim=8, max_iters=80, seed=1))

@@ -8,14 +8,11 @@ import pytest
 from ncelab import (
     ConditionalProblem,
     ContextBias,
-    InputSpace,
-    LabelSpace,
     LinearFeatures,
     LinearSoftmax,
     LogBilinear,
     NoiseDistribution,
     ValidationError,
-    cond_prob,
     cond_prob_table,
     counterexample_problem,
     problem_from_scores,
@@ -42,27 +39,44 @@ class TestScore:
         rng = np.random.default_rng(0)
         sf = LinearFeatures(rng.standard_normal((3, 4, 5)))
         theta = np.zeros(5)
-        assert sf.score(theta, 1, 2) == 0.0
-        assert sf.score(theta, 0, 0) == 0.0
+        assert sf.score_table(theta)[1, 2] == 0.0
+        assert sf.score_table(theta)[0, 0] == 0.0
 
     def test_counterexample_scores(self):
         p = counterexample_problem()
-        assert p.scoring.score(p.theta_star, 0, 0) == pytest.approx(0.0, abs=1e-15)
-        assert p.scoring.score(p.theta_star, 1, 1) == pytest.approx(np.log(3.0))
+        scores = p.scoring.score_table(p.theta_star)
+        assert scores[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert scores[1, 1] == pytest.approx(np.log(3.0))
 
     def test_linear_softmax_hand_dot_product(self):
         sf = LinearSoftmax(np.array([[1.0, 2.0]]), n_labels=2)
         theta = np.array([0.5, -0.25, 0.0, 0.0])  # theta_0 = (0.5, -0.25)
-        assert sf.score(theta, 0, 0) == pytest.approx(0.0, abs=1e-15)
+        assert sf.score_table(theta)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         sf = LinearFeatures(np.zeros((2, 2, 3)))
         with pytest.raises(ValidationError):
-            sf.score(np.zeros(4), 0, 0)
+            sf.score_table(np.zeros(4))
         with pytest.raises(ValidationError):
-            sf.score(np.zeros(3), 2, 0)
-        with pytest.raises(ValidationError):
-            sf.score(np.array([1.0, np.nan, 0.0]), 0, 0)
+            sf.score_table(np.array([1.0, np.nan, 0.0]))
+
+
+def one_hot(sf, x, y):
+    weights = np.zeros((sf.m_x, sf.m_y))
+    weights[x, y] = 1.0
+    return weights
+
+
+LINEAR_TABULAR = [
+    lambda rng: LinearFeatures(rng.standard_normal((3, 4, 5))),
+    lambda rng: LinearSoftmax(rng.standard_normal((3, 2)), 4),
+    lambda rng: ContextBias(LinearSoftmax(rng.standard_normal((3, 2)), 4)),
+    lambda rng: ContextBias(LinearFeatures(rng.standard_normal((3, 4, 5)))),
+]
+EVERY_SCORER = LINEAR_TABULAR + [
+    lambda rng: LogBilinear(rng.integers(0, 4, (3, 1)), 4, 2),
+    lambda rng: LogBilinear(rng.integers(0, 4, (3, 2)), 4, 2, context_bias=True),
+]
 
 
 class TestScoreGrad:
@@ -71,54 +85,71 @@ class TestScoreGrad:
         features = rng.standard_normal((3, 4, 6))
         sf = LinearFeatures(features)
         for theta in (np.zeros(6), rng.standard_normal(6)):
-            np.testing.assert_array_equal(sf.score_grad(theta, 2, 3), features[2, 3])
+            np.testing.assert_array_equal(sf.grad_table(theta)[2, 3], features[2, 3])
 
     def test_context_bias_gradient_layout(self):
         inner = LinearFeatures(np.arange(24, dtype=float).reshape(2, 3, 4))
         sf = ContextBias(inner)
         theta = np.zeros(6)
-        g = sf.score_grad(theta, 1, 0)
+        g = sf.grad_table(theta)[1, 0]
         np.testing.assert_array_equal(g[:4], inner.features[1, 0])
         np.testing.assert_array_equal(g[4:], [0.0, -1.0])
 
     @pytest.mark.parametrize("context_bias", [False, True])
     def test_log_bilinear_matches_finite_differences(self, context_bias):
+        # accumulate_grad with one-hot weights is the gradient of one cell
         rng = np.random.default_rng(7)
         histories = rng.integers(0, 5, size=(4, 2))
         sf = LogBilinear(histories, vocab_size=5, dim=3, context_bias=context_bias)
         theta = 0.3 * rng.standard_normal(sf.n_params)
         for x, y in [(0, 1), (3, 4), (2, 0)]:
-            fd = finite_difference_grad(lambda t: sf.score(t, x, y), theta)
-            assert rel_err(sf.score_grad(theta, x, y), fd) <= 1e-6
+            fd = finite_difference_grad(lambda t: sf.score_table(t)[x, y], theta)
+            assert rel_err(sf.accumulate_grad(theta, one_hot(sf, x, y)), fd) <= 1e-6
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda rng: LinearFeatures(rng.standard_normal((3, 4, 5))),
-            lambda rng: LinearSoftmax(rng.standard_normal((3, 2)), 4),
-            lambda rng: ContextBias(LinearSoftmax(rng.standard_normal((3, 2)), 4)),
-            lambda rng: LogBilinear(rng.integers(0, 4, (3, 1)), 4, 2),
-        ],
-    )
+    @pytest.mark.parametrize("make", EVERY_SCORER)
     def test_every_variant_gradient_vs_finite_differences(self, make):
         rng = np.random.default_rng(11)
         sf = make(rng)
         theta = 0.5 * rng.standard_normal(sf.n_params)
+        weights = rng.standard_normal((sf.m_x, sf.m_y))
+        fd = finite_difference_grad(lambda t: (weights * sf.score_table(t)).sum(), theta)
+        assert rel_err(sf.accumulate_grad(theta, weights), fd) <= 1e-6
+
+    @pytest.mark.parametrize("make", LINEAR_TABULAR)
+    def test_grad_table_matches_finite_differences(self, make):
+        rng = np.random.default_rng(19)
+        sf = make(rng)
+        theta = 0.5 * rng.standard_normal(sf.n_params)
+        table = sf.grad_table(theta)
+        assert table.shape == (sf.m_x, sf.m_y, sf.n_params)
         for x in range(sf.m_x):
             for y in range(sf.m_y):
-                fd = finite_difference_grad(lambda t: sf.score(t, x, y), theta)
-                assert rel_err(sf.score_grad(theta, x, y), fd) <= 1e-6
+                fd = finite_difference_grad(lambda t: sf.score_table(t)[x, y], theta)
+                assert rel_err(table[x, y], fd) <= 1e-6
+                # accumulate_grad with one-hot weights gives the same cell bit for bit
+                one_cell = sf.accumulate_grad(theta, one_hot(sf, x, y))
+                np.testing.assert_array_equal(table[x, y], one_cell)
 
     def test_accumulate_grad_matches_weighted_sum(self):
         rng = np.random.default_rng(3)
-        sf = LogBilinear(rng.integers(0, 6, (5, 2)), 6, 3, context_bias=True)
-        theta = 0.2 * rng.standard_normal(sf.n_params)
-        weights = rng.standard_normal((5, 6))
-        expected = np.zeros(sf.n_params)
-        for x in range(5):
-            for y in range(6):
-                expected += weights[x, y] * sf.score_grad(theta, x, y)
-        np.testing.assert_allclose(sf.accumulate_grad(theta, weights), expected, atol=1e-10)
+        for make in LINEAR_TABULAR:
+            sf = make(rng)
+            theta = 0.2 * rng.standard_normal(sf.n_params)
+            weights = rng.standard_normal((sf.m_x, sf.m_y))
+            expected = np.einsum("xy,xyd->d", weights, sf.grad_table(theta))
+            np.testing.assert_allclose(sf.accumulate_grad(theta, weights), expected, atol=1e-10)
+
+    def test_grad_table_validates_theta(self):
+        sf = ContextBias(LinearSoftmax(np.ones((2, 3)), 4))
+        with pytest.raises(ValidationError):
+            sf.grad_table(np.zeros(sf.n_params - 1))
+        with pytest.raises(ValidationError):
+            LinearFeatures(np.zeros((2, 2, 3))).grad_table(np.array([0.0, np.inf, 0.0]))
+
+    def test_log_bilinear_has_no_grad_table(self):
+        sf = LogBilinear(np.zeros((2, 1), dtype=int), 3, 2)
+        with pytest.raises(NotImplementedError):
+            sf.grad_table(np.zeros(sf.n_params))
 
 
 class TestShiftedScore:
@@ -151,12 +182,14 @@ class TestShiftedScore:
 class TestCondProb:
     def test_equal_scores_give_uniform(self):
         sf = LinearFeatures(np.zeros((2, 7, 1)))
-        np.testing.assert_allclose(cond_prob(sf, np.zeros(1), 1), np.full(7, 1 / 7), atol=1e-15)
+        np.testing.assert_allclose(
+            cond_prob_table(sf, np.zeros(1))[1], np.full(7, 1 / 7), atol=1e-15
+        )
 
     def test_counterexample_conditionals(self):
         p = counterexample_problem()
         np.testing.assert_allclose(
-            cond_prob(p.scoring, p.theta_star, 0), [0.25, 0.75], atol=1e-12
+            cond_prob_table(p.scoring, p.theta_star)[0], [0.25, 0.75], atol=1e-12
         )
 
     def test_invariance_to_per_context_shift(self):
@@ -192,15 +225,23 @@ class TestConditionalProblem:
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
     def test_degenerate_label_space_rejected(self):
-        with pytest.raises(ValidationError):
-            LabelSpace(1)
+        with pytest.raises(ValidationError, match="at least 2 labels"):
+            ConditionalProblem(p_x=np.array([1.0]), p_y_given_x=np.ones((1, 1)))
+
+    def test_empty_input_space_rejected(self):
+        with pytest.raises(ValidationError, match="at least 1 input"):
+            ConditionalProblem(p_x=np.array([1.0]), p_y_given_x=np.full((0, 2), 0.5))
+
+    def test_sizes_come_from_the_table(self):
+        p = ConditionalProblem(p_x=np.full(3, 1 / 3), p_y_given_x=np.full((3, 4), 0.25))
+        assert (p.m_x, p.m_y) == (3, 4)
+        with pytest.raises(ValidationError, match="p_x: length 2"):
+            ConditionalProblem(p_x=np.full(2, 0.5), p_y_given_x=np.full((3, 4), 0.25))
 
     def test_row_sum_validation(self):
         bad = np.array([[0.6, 0.3], [0.5, 0.5]])
         with pytest.raises(ValidationError, match="row 0"):
             ConditionalProblem(
-                input_space=InputSpace(2),
-                label_space=LabelSpace(2),
                 p_x=np.array([0.5, 0.5]),
                 p_y_given_x=bad,
             )
@@ -208,8 +249,6 @@ class TestConditionalProblem:
     def test_positivity_validation(self):
         with pytest.raises(ValidationError, match="p_x"):
             ConditionalProblem(
-                input_space=InputSpace(2),
-                label_space=LabelSpace(2),
                 p_x=np.array([1.0, 0.0]),
                 p_y_given_x=np.full((2, 2), 0.5),
             )

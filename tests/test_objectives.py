@@ -45,23 +45,25 @@ from ncelab.objectives import (
 
 
 def naive_ranking(sf, theta, dataset, noise):
+    scores = sf.score_table(theta)
     total = 0.0
     for i in range(dataset.n):
         x = dataset.x[i]
         cands = [dataset.y[i]] + list(dataset.negatives[i])
-        shats = [sf.score(theta, x, y) - np.log(noise.probs[y]) for y in cands]
+        shats = [scores[x, y] - np.log(noise.probs[y]) for y in cands]
         total += shats[0] - np.log(sum(np.exp(s) for s in shats))
     return total / dataset.n
 
 
 def naive_binary(sf, bp, dataset, noise):
     k = dataset.k
+    scores = sf.score_table(bp.theta)
     total = 0.0
     for i in range(dataset.n):
         x = dataset.x[i]
 
         def g(y):
-            shat = sf.score(bp.theta, x, y) - np.log(noise.probs[y])
+            shat = scores[x, y] - np.log(noise.probs[y])
             e = np.exp(shat - bp.gamma)
             return e / (e + k)
 

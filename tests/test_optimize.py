@@ -11,7 +11,6 @@ from ncelab import (
     NoiseDistribution,
     SamplingConfig,
     ValidationError,
-    cond_prob,
     cond_prob_table,
     counterexample_problem,
     fit,
@@ -33,7 +32,7 @@ class TestCounterexampleFits:
         p = counterexample_problem()
         noise = NoiseDistribution.uniform(2)
         report = fit(p.scoring, p, noise, FitConfig(objective="population-ranking", k=1))
-        cond = cond_prob(p.scoring, report.theta, 0)
+        cond = cond_prob_table(p.scoring, report.theta)[0]
         assert cond[0] / cond[1] == pytest.approx(1 / 3, abs=1e-4)
 
     def test_mle_recovers_parameters(self):

@@ -91,7 +91,7 @@ class TestSyntheticProblem:
         p = make_synthetic_problem(d=4, m_x=200, m_y=100, seed=0)
         assert (p.m_x, p.m_y) == (200, 100)
         assert p.scoring.n_params == 400
-        assert p.input_space.features.shape == (200, 4)
+        assert p.scoring.inputs.shape == (200, 4)
         np.testing.assert_allclose(p.p_x, 1 / 200, atol=1e-15)
 
     def test_zero_scale_weights_give_uniform_rows(self):
@@ -120,13 +120,11 @@ class TestGenerateDataset:
         assert ds.negatives.shape == (0, 3)
 
     def test_point_mass_rows_determine_labels(self):
-        from ncelab import ConditionalProblem, InputSpace, LabelSpace
+        from ncelab import ConditionalProblem
 
         eps = 1e-13
         rows = np.array([[1 - eps, eps], [eps, 1 - eps]])
         p = ConditionalProblem(
-            input_space=InputSpace(2),
-            label_space=LabelSpace(2),
             p_x=np.array([0.5, 0.5]),
             p_y_given_x=rows / rows.sum(axis=1, keepdims=True),
         )
