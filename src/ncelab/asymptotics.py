@@ -113,6 +113,9 @@ class ReplicationSummary:
     rel_frobenius_error: float
     empirical_mse: float
     theoretical_mse: float
+    converged: int  # fits that reached |g| <= tol
+    max_iters_reached: int  # fits stopped at max_iters instead
+    max_grad_norm: float  # largest final |g| over the R fits
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,6 +129,9 @@ class ReplicationSummary:
             "rel_frobenius_error": self.rel_frobenius_error,
             "empirical_mse": self.empirical_mse,
             "theoretical_mse": self.theoretical_mse,
+            "converged": self.converged,
+            "max_iters_reached": self.max_iters_reached,
+            "max_grad_norm": self.max_grad_norm,
         }
 
 
@@ -349,6 +355,10 @@ def replicate(
     """
     if replications < 2:
         raise ValidationError(f"replications must be >= 2, got {replications}")
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
+    if n == 0:
+        raise ValidationError("n must be >= 1 to fit a replication")
     if problem.theta_star is None or problem.scoring is None:
         raise ValidationError("replicate needs a problem with ground truth")
     if isinstance(seeds, int):
@@ -365,6 +375,8 @@ def replicate(
     # MLE ignores negatives but the dataset still carries a matrix of them
     data_noise = noise if noise is not None else NoiseDistribution.uniform(problem.m_y)
     devs = np.empty((replications, sf.n_params))
+    grad_norms = np.empty(replications)
+    converged = 0
     for r, seed in enumerate(seed_list):
         dataset = generate_dataset(problem, n, SamplingConfig(k=k, seed=seed), data_noise)
         try:
@@ -374,6 +386,8 @@ def replicate(
         if report.stalled:
             raise ValidationError(f"replication {r} stalled: {report.message}")
         devs[r] = np.sqrt(n) * (report.theta - theta_star)
+        grad_norms[r] = report.grad_norm
+        converged += report.converged
     mean_bias = devs.mean(axis=0)
     centered = devs - mean_bias
     empirical = centered.T @ centered / (replications - 1)
@@ -391,6 +405,9 @@ def replicate(
         rel_frobenius_error=rel,
         empirical_mse=float(np.mean(devs**2)),
         theoretical_mse=float(np.trace(theoretical)) / sf.n_params,
+        converged=converged,
+        max_iters_reached=replications - converged,
+        max_grad_norm=float(grad_norms.max()),
     )
 
 

@@ -357,7 +357,9 @@ def cmd_replicate(args) -> int:
     print(
         f"{args.estimator} x{args.replications}: relative Frobenius error "
         f"{summary.rel_frobenius_error:.4f}, empirical mse {summary.empirical_mse:.4f} "
-        f"vs theoretical {summary.theoretical_mse:.4f}"
+        f"vs theoretical {summary.theoretical_mse:.4f}; converged "
+        f"{summary.converged}/{args.replications} ({summary.max_iters_reached} at "
+        f"max-iters), max |g| {summary.max_grad_norm:.3e}"
     )
     return 0
 

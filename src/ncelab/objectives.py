@@ -9,14 +9,16 @@ Conventions:
 * Each objective has one ``*_value_grad`` function that builds the score
   table, the candidate gather and the softmax once and returns
   (value, gradient); the ``*_objective`` / ``*_gradient`` names project it.
-* Ranking and MLE reduce per-example terms with numpy's fixed-order
-  (pairwise) summation. The sampled binary objective depends on the data
-  only through how often each cell (x, y) is a positive and a negative,
-  so it is a weighted sum over the (m_x, m_y) count tables of
-  ``Dataset.tables`` divided by n; population-binary is the same kernel
-  with weights p_xy and K p_x p_N. Every reduction is a numpy sum over
-  arrays whose shape and order depend only on the inputs, so results do
-  not depend on the thread count.
+* Every sampled objective reads the dataset folded by what its loss
+  depends on, as counts divided by n. MLE reads how often each cell
+  (x, y) is an observed pair (``Dataset.tables`` positives). Binary reads
+  that and how often each cell is a sampled negative (the two count
+  tables); population-binary is the same kernel with weights p_xy and
+  K p_x p_N. Ranking is symmetric in the K negatives, so it reads the
+  count of each distinct (x, y, sorted negatives) key
+  (``Dataset.ranking_keys``); keys too wide to pack stay one row each.
+  Every reduction is a numpy sum over arrays whose shape and order depend
+  only on the inputs, so results do not depend on the thread count.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -132,14 +134,18 @@ def _check_k(k: int) -> None:
 def ranking_value_grad(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
 ) -> tuple[float, np.ndarray]:
-    """Mean log-probability of ranking the true label above its negatives, and its gradient."""
-    index = dataset.tables(sf.m_x, sf.m_y).index
+    """Mean log-probability of ranking the true label above its negatives, and its gradient.
+
+    One pass over the dataset's distinct (x, y, sorted negatives) keys of
+    ``Dataset.ranking_keys``, each term weighted by the key's count.
+    """
+    index, counts = dataset.ranking_keys(sf.m_x, sf.m_y)
     theta = check_params(theta, sf.n_params)
     cand = _shifted_table(sf, theta, noise).ravel()[index]
-    lse, q = _lse_and_softmax(cand)
-    coeff = -q
-    coeff[:, 0] += 1.0
-    value = float(np.mean(cand[:, 0] - lse))
+    lse, coeff = _lse_and_softmax(cand)
+    coeff *= -counts[:, None]
+    coeff[:, 0] += counts
+    value = float(np.sum(counts * (cand[:, 0] - lse)) / dataset.n)
     return value, _scatter_grad(sf, theta, index, coeff) / dataset.n
 
 

@@ -43,7 +43,7 @@ class NoiseDistribution:
         p = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
         if p.ndim != 1 or p.size < 2:
             raise ValidationError(f"noise: expected a vector of >= 2 masses, got shape {p.shape}")
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):
             raise ValidationError("noise: every label must have positive mass")
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
@@ -79,18 +79,22 @@ class NoiseDistribution:
 def noise_power(spec: str) -> float | None:
     """Power on the unigram masses named by a noise spec; None for uniform.
 
-    Specs: ``uniform``, ``unigram`` (power 1) and ``unigram-pow:<p>``.
+    Specs: ``uniform``, ``unigram`` (power 1) and ``unigram-pow:<p>`` with
+    p a finite number >= 0.
     """
     if spec == "uniform":
         return None
     if spec == "unigram":
         return 1.0
-    if spec.startswith("unigram-pow:"):
-        try:
-            return float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad noise spec '{spec}'") from exc
-    raise ValidationError(f"unknown noise spec '{spec}'")
+    if not spec.startswith("unigram-pow:"):
+        raise ValidationError(f"unknown noise spec '{spec}'")
+    try:
+        power = float(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise ValidationError(f"bad noise spec '{spec}'") from exc
+    if not (math.isfinite(power) and power >= 0):
+        raise ValidationError(f"noise spec '{spec}': power must be finite and >= 0")
+    return power
 
 
 def unigram_power(counts, power: float) -> NoiseDistribution:
@@ -100,8 +104,6 @@ def unigram_power(counts, power: float) -> NoiseDistribution:
         raise ValidationError(f"counts: expected a vector, got shape {counts.shape}")
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise ValidationError("counts: entries must be nonnegative integers")
-    if power < 0:
-        raise ValidationError(f"power: must be >= 0, got {power}")
     if not np.any(counts > 0):
         raise ValidationError("counts: all zero, no distribution to build")
     if np.any(counts == 0):
@@ -133,6 +135,13 @@ class DatasetTables(NamedTuple):
     negatives: np.ndarray  # (m_x, m_y) times each cell is a sampled negative
 
 
+class RankingKeys(NamedTuple):
+    """A dataset's distinct ranking tuples and how often each occurs."""
+
+    index: np.ndarray  # (u, K+1) flat cells, observed label in column 0
+    counts: np.ndarray  # (u,) float occurrences of each row; they sum to n
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Positive pairs plus an (n, K) matrix of sampled negative labels."""
@@ -142,6 +151,7 @@ class Dataset:
     negatives: np.ndarray
     provenance: dict
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "negatives"):
@@ -188,6 +198,34 @@ class Dataset:
                 arr.flags.writeable = False
             self._tables[(m_x, m_y)] = DatasetTables(index, positives, negatives)
         return self._tables[(m_x, m_y)]
+
+    def ranking_keys(self, m_x: int, m_y: int) -> RankingKeys:
+        """The rows of ``tables(m_x, m_y).index`` folded into distinct keys.
+
+        The ranking loss is symmetric in the negatives, so a row is keyed by
+        its observed cell and its sorted negative labels, packed into one
+        int64 in base m_y. Keys come in increasing order. When the packed
+        range m_x * m_y**(K+1) does not fit an int64 the fold is the
+        identity: the rows as they are, each with count 1.0. Built on the
+        first call per shape, apart from ``tables`` so that MLE and binary
+        fits never pay for the sort.
+        """
+        if (m_x, m_y) not in self._keys:
+            index = self.tables(m_x, m_y).index
+            # Python ints: a numpy integer power would wrap instead of growing
+            if int(m_x) * int(m_y) ** (self.k + 1) >= 2**63:
+                keys = RankingKeys(index, np.ones(self.n))
+            else:
+                rows = np.concatenate([index[:, :1], np.sort(index[:, 1:], axis=1)], axis=1)
+                packed = rows[:, 0]
+                for label in (rows[:, 1:] % m_y).T:
+                    packed = packed * m_y + label
+                _, first, counts = np.unique(packed, return_index=True, return_counts=True)
+                keys = RankingKeys(rows[first], counts.astype(np.float64))
+            for arr in keys:
+                arr.flags.writeable = False
+            self._keys[(m_x, m_y)] = keys
+        return self._keys[(m_x, m_y)]
 
     def digest(self) -> str:
         h = hashlib.sha256()

@@ -233,17 +233,36 @@ class TestAsymptotics:
 
 
 class TestReplicate:
-    def test_summary_json(self, tmp_path):
+    def test_summary_json(self, tmp_path, capsys):
         path = tmp_path / "id.json"
         run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
              "--seed", 23, "--out", path])
         out = tmp_path / "rep.json"
+        capsys.readouterr()
         assert run([
             "replicate", "--problem", path, "--estimator", "mle", "--n", 1000,
             "--replications", 12, "--seed", 2, "--out", out,
         ]) == 0
         summary = json.loads(out.read_text())
         assert summary["replications"] == 12
+        assert summary["converged"] == 12 and summary["max_iters_reached"] == 0
+        assert 0.0 < summary["max_grad_norm"] <= 1e-7
+        printed = capsys.readouterr().out
+        assert "converged 12/12 (0 at max-iters)" in printed
+        assert f"max |g| {summary['max_grad_norm']:.3e}" in printed
+
+    def test_summary_counts_fits_stopped_at_max_iters(self, tmp_path):
+        path = tmp_path / "id.json"
+        run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
+             "--seed", 23, "--out", path])
+        out = tmp_path / "rep.json"
+        assert run([
+            "replicate", "--problem", path, "--estimator", "ranking", "--n", 500,
+            "--replications", 3, "--max-iters", 2, "--out", out,
+        ]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["converged"] == 0 and summary["max_iters_reached"] == 3
+        assert summary["max_grad_norm"] > 1e-7
         cov = np.asarray(summary["empirical_cov"])
         assert cov.shape == (2, 2)
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
@@ -318,6 +337,15 @@ MALFORMED_INPUTS = {
     "non-string-variant": lambda tmp: _problem_with(tmp, variant=3),
     "fit-negative-n": lambda tmp: ["fit", "--problem", tmp / "problem.json", "--n", -5],
     "replicate-negative-n": lambda tmp: _features_problem(tmp) + ["--n", -1],
+    # a softmax problem's ranking covariance is singular (exit 3) if it is built first
+    "replicate-softmax-negative-n": lambda tmp: [
+        "replicate", "--problem", tmp / "problem.json", "--estimator", "ranking",
+        "--replications", 2, "--n", -1,
+    ],
+    "fit-negative-noise-power": lambda tmp: [
+        "fit", "--problem", tmp / "problem.json", "--noise", "unigram-pow:-1",
+    ],
+    "lm-negative-noise-power": lambda tmp: ["lm", "--noise", "unigram-pow:-1"],
 }
 
 
@@ -328,3 +356,18 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_replicate_checks_n_before_the_covariance(self, problem_file, tmp_path, capsys):
+        argv = MALFORMED_INPUTS["replicate-softmax-negative-n"](tmp_path)
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "out.json"]) == 2
+        assert "n must be >= 0" in capsys.readouterr().err
+
+    def test_fit_and_lm_share_the_noise_power_message(self, problem_file, tmp_path, capsys):
+        errors = []
+        for case in ("fit-negative-noise-power", "lm-negative-noise-power"):
+            capsys.readouterr()
+            assert run(MALFORMED_INPUTS[case](tmp_path) + ["--out", tmp_path / "o.json"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "power must be finite and >= 0" in errors[0]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from ncelab import (
 )
 from ncelab.objectives import (
     _lse_and_softmax,
+    _scatter_grad,
+    _shifted_table,
     binary_value_grad,
     count_vectors,
     mle_value_grad,
@@ -678,6 +681,104 @@ class TestDatasetTables:
         ds = Dataset(x=[0], y=[1], negatives=[[0]], provenance={})
         with pytest.raises(AttributeError):
             ds.x = np.array([1])
+
+
+@st.composite
+def repeated_rows(draw):
+    """A dataset drawn from a small pool of rows, each repeat with its
+    negatives shuffled, so many rows share one (x, y, sorted negatives) key."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    m_x, m_y, k = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    pool, n = draw(st.integers(1, 8)), draw(st.integers(1, 300))
+    problem = random_tabular_problem(m_x, m_y, draw(st.integers(1, 3)), seed)
+    sf = ContextBias(problem.scoring) if draw(st.booleans()) else problem.scoring
+    rng = np.random.default_rng(seed)
+    raw = rng.random(m_y) + 0.1
+    noise = NoiseDistribution(raw / raw.sum())
+    rows = rng.integers(0, pool, n)
+    negatives = rng.permuted(rng.integers(0, m_y, (pool, k))[rows], axis=1)
+    x, y = rng.integers(0, m_x, pool)[rows], rng.integers(0, m_y, pool)[rows]
+    dataset = Dataset(x=x, y=y, negatives=negatives, provenance={})
+    return sf, noise, dataset, rng.standard_normal(sf.n_params)
+
+
+def unweighted_ranking(sf, theta, ds, noise):
+    """The per-row kernel over the dataset's rows as drawn, with np.mean."""
+    index = ds.tables(sf.m_x, sf.m_y).index
+    cand = _shifted_table(sf, theta, noise).ravel()[index]
+    lse, q = _lse_and_softmax(cand)
+    coeff = -q
+    coeff[:, 0] += 1.0
+    return float(np.mean(cand[:, 0] - lse)), _scatter_grad(sf, theta, index, coeff) / ds.n
+
+
+class TestRankingFold:
+    @settings(max_examples=80, deadline=None)
+    @given(repeated_rows())
+    def test_folded_kernel_matches_per_row_reference(self, case):
+        sf, noise, ds, theta = case
+        value, grad = ranking_value_grad(sf, theta, ds, noise)
+        ref_value, ref_grad = ref_ranking(sf, theta, ds, noise)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-15)
+        # identical candidates cancel the gradient to 0 exactly in the fold but
+        # leave rounding of the O(1) summands, about 1e-16, in the reference
+        assert np.linalg.norm(grad - ref_grad) <= 1e-10 * max(np.linalg.norm(ref_grad), 1e-5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(repeated_rows())
+    def test_keys_are_distinct_counts_match_a_brute_force_count(self, case):
+        sf, _, ds, _ = case
+        keys = ds.ranking_keys(sf.m_x, sf.m_y)
+        assert ds.ranking_keys(sf.m_x, sf.m_y) is keys
+        assert keys.index.shape == (keys.counts.size, ds.k + 1)
+        assert keys.counts.dtype == np.float64 and keys.counts.sum() == ds.n
+        rows = [tuple(row) for row in keys.index]
+        assert len(set(rows)) == len(rows)
+        brute = Counter(
+            (int(x) * sf.m_y + int(y), *sorted(int(x) * sf.m_y + int(v) for v in negs))
+            for x, y, negs in zip(ds.x, ds.y, ds.negatives)
+        )
+        assert dict(zip(rows, keys.counts.tolist())) == brute
+
+    def test_largest_packable_range_folds(self):
+        # m_x * m_y**(K+1) = 2**62: the largest key, 2**62 - 1, still fits
+        k = 61
+        negatives = [[1] * k, [0] * k, [1] * (k - 1) + [0], [0] + [1] * (k - 1)]
+        ds = Dataset(x=[0, 0, 0, 0], y=[1, 1, 1, 1], negatives=negatives, provenance={})
+        keys = ds.ranking_keys(1, 2)
+        np.testing.assert_array_equal(keys.counts, [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(keys.index[1], [1, 0] + [1] * (k - 1))
+
+    def test_wide_keys_are_the_identity_with_the_mean_form_bits(self):
+        # m_x * m_y**(K+1) = 2**63 does not fit an int64: no fold
+        rng = np.random.default_rng(5)
+        k, n = 62, 40
+        sf = ContextBias(LinearFeatures(rng.standard_normal((2, 2, 3))))
+        noise = NoiseDistribution(np.array([0.3, 0.7]))
+        ds = Dataset(
+            x=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
+            negatives=rng.integers(0, 2, (n, k)), provenance={},
+        )
+        keys = ds.ranking_keys(2, 2)
+        assert keys.index is ds.tables(2, 2).index
+        np.testing.assert_array_equal(keys.counts, np.ones(n))
+        theta = rng.standard_normal(sf.n_params)
+        value, grad = ranking_value_grad(sf, theta, ds, noise)
+        ref_value, ref_grad = unweighted_ranking(sf, theta, ds, noise)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_mle_and_binary_never_build_the_fold(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ranking fold built")
+
+        monkeypatch.setattr(Dataset, "ranking_keys", refuse)
+        problem, noise, ds, theta = small_setup(seed=41, n=50)
+        sf = problem.scoring
+        mle_value_grad(sf, theta, ds)
+        binary_value_grad(sf, BinaryParams(theta, 0.3), ds, noise)
+        with pytest.raises(AssertionError, match="fold built"):
+            ranking_value_grad(sf, theta, ds, noise)
 
 
 class TestCountVectors:

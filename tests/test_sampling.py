@@ -15,13 +15,31 @@ from ncelab import (
     sample_negatives,
     unigram_power,
 )
-from ncelab.sampling import load_dataset_jsonl, save_dataset_jsonl
+from ncelab.sampling import load_dataset_jsonl, noise_power, save_dataset_jsonl
 
 
 class TestNoiseDistribution:
     def test_rejects_zero_mass(self):
         with pytest.raises(ValidationError):
             NoiseDistribution(np.array([1.0, 0.0]))
+
+    def test_rejects_nan_mass(self):
+        # NaN compares false both ways, so a "<= 0" test alone lets it through
+        with pytest.raises(ValidationError, match="positive mass"):
+            NoiseDistribution(np.array([np.nan, np.nan]))
+
+    @pytest.mark.parametrize(
+        "spec", ["unigram-pow:-1", "unigram-pow:nan", "unigram-pow:inf", "unigram-pow:x", "zipf"]
+    )
+    def test_noise_power_rejects_bad_specs(self, spec):
+        with pytest.raises(ValidationError, match=f"noise spec '{spec}'"):
+            noise_power(spec)
+
+    def test_noise_power_of_good_specs(self):
+        assert noise_power("uniform") is None
+        assert noise_power("unigram") == 1.0
+        assert noise_power("unigram-pow:0") == 0.0
+        assert noise_power("unigram-pow:0.75") == 0.75
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
