@@ -407,7 +407,9 @@ def cmd_lm(args) -> int:
     manifest.write(_out_base(args.out) + ".manifest.json")
     print(
         f"{args.estimator} lm: train_ppl={report.train_ppl:.3f} "
-        f"valid_ppl={report.valid_ppl:.3f} var[log Z]={report.log_z_var:.5f}"
+        f"valid_ppl={report.valid_ppl:.3f} var[log Z]={report.log_z_var:.5f} "
+        f"converged={report.fit.converged} iterations={report.fit.iterations} "
+        f"|g|={report.fit.grad_norm:.3e} evaluations={report.fit.n_evaluations}"
     )
     return 0
 

@@ -105,8 +105,11 @@ class HistoryTable:
     def lookup(self, history: tuple[int, ...]) -> int:
         return self._index.get(tuple(history), self._fallback)
 
-    def encode_histories(self, histories: np.ndarray) -> np.ndarray:
-        return np.asarray([self.lookup(tuple(h)) for h in histories], dtype=np.int64)
+    def positions(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(history rows, targets) of every n-gram position of a token-id stream."""
+        histories, targets = ngram_positions(ids, self.order)
+        rows = np.asarray([self.lookup(tuple(h)) for h in histories], dtype=np.int64)
+        return rows, targets
 
 
 @dataclass
@@ -182,8 +185,8 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
     table = HistoryTable(cfg.order, vocab, train_ids)
     sf = LogBilinear(table.rows, vocab.size, cfg.dim, context_bias=cfg.context_bias)
 
-    histories, targets = ngram_positions(train_ids, cfg.order)
-    x_idx = table.encode_histories(histories)
+    x_idx, targets = table.positions(train_ids)
+    valid_x, valid_targets = table.positions(valid_ids)
     counts = np.bincount(train_ids, minlength=vocab.size)
     noise = make_noise(cfg.noise, counts)
 
@@ -220,8 +223,8 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
 
     def ppl_pair(theta: np.ndarray) -> tuple[float, float]:
         return (
-            corpus_perplexity(sf, theta, table, train_ids, cfg.order),
-            corpus_perplexity(sf, theta, table, valid_ids, cfg.order),
+            corpus_perplexity(sf, theta, x_idx, targets),
+            corpus_perplexity(sf, theta, valid_x, valid_targets),
         )
 
     def on_iteration(iteration: int, params: np.ndarray) -> None:
@@ -236,8 +239,6 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
         eval_rows.append((report.iterations, train_ppl, valid_ppl))
 
     # partition-function spread over the held-out context sample
-    valid_hist, _ = ngram_positions(valid_ids, cfg.order)
-    valid_x = table.encode_histories(valid_hist)
     log_z = logsumexp(sf.score_table(theta), axis=1)[valid_x]
     reg_sampled = reg_target = None
     if reg is not None:
@@ -259,9 +260,8 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
     )
 
 
-def corpus_perplexity(sf, theta, table: HistoryTable, ids: np.ndarray, order: int) -> float:
-    """Vectorized exp(-mean log p) over a token-id stream."""
-    histories, targets = ngram_positions(ids, order)
-    x = table.encode_histories(histories)
+def corpus_perplexity(sf, theta, x: np.ndarray, targets: np.ndarray) -> float:
+    """Vectorized exp(-mean log p) over the n-gram positions of a token-id
+    stream, as ``HistoryTable.positions`` encodes them."""
     log_q = log_cond_prob_table(sf, theta)
     return float(np.exp(-np.mean(log_q[x, targets])))

@@ -19,6 +19,14 @@ Conventions:
   (``Dataset.ranking_keys``); keys too wide to pack stay one row each.
   Every reduction is a numpy sum over arrays whose shape and order depend
   only on the inputs, so results do not depend on the thread count.
+* The sampled softmaxes (ranking and the regularizer) exponentiate the
+  shifted table once, each context row shifted by its maximum, and gather
+  the candidates from it (``_gathered_exp``): m_x * m_y exps per call
+  instead of one per candidate. This needs every candidate row to lie in
+  one context row, which ranking keys and regularizer draws do. Rows whose
+  first candidate underflows there (more than ~708 below its context's
+  maximum) or that meet a non-finite score are redone per row by
+  ``_lse_and_softmax``, so a non-finite score still gives a non-finite value.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -41,6 +49,7 @@ from .model import ConditionalProblem, ScoringFunction, check_params
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
 TERM_BUDGET = 10**7
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -105,10 +114,10 @@ def _scatter_grad(
 def _lse_and_softmax(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row log-sum-exp and softmax weights of a (rows, candidates) gather.
 
-    One shared exp pass that rounds exactly like scipy's logsumexp (the
-    row maxima split off, log1p of the rest) and exp(log_softmax): the
-    fits' line searches compare values at the float-noise floor, so other
-    roundings of the same sums change their iteration counts.
+    Serves only the rows ``_gathered_exp`` cannot: each row is shifted by
+    its own maximum, so it stays exact however far the candidates sit below
+    the rest of their context. Rounds exactly like scipy's logsumexp (the
+    row maxima split off, log1p of the rest) and exp(log_softmax).
     """
     a_max = cand.max(axis=1, keepdims=True)
     shifted = cand - a_max
@@ -120,6 +129,35 @@ def _lse_and_softmax(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lse = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + a_max
     shifted -= log_sum
     return lse[:, 0], np.exp(shifted, out=shifted)
+
+
+def _gathered_exp(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row log-sum-exp of the gather ``table.ravel()[index]``, with its softmax unnormalized.
+
+    Precondition: the cells of each row of ``index`` lie in one row of the
+    (m_x, m_y) ``table``, i.e. one context's candidates; ranking keys and
+    regularizer draws are built that way. The table is exponentiated once,
+    each row shifted by its maximum (m_x * m_y exps, not one per candidate),
+    and gathered. Returns (lse, e, s): e the gathered values and s their row
+    sums, so e / s[:, None] is the softmax.
+
+    lse is the first candidate's score plus log(s / e[:, 0]), so its
+    rounding scales with the candidates' own scores rather than with the
+    context maximum. A row whose first value is below the smallest normal
+    float (that candidate more than ~708 below its context's maximum; every
+    row whose s underflows is one) or whose lse is not finite is redone by
+    ``_lse_and_softmax`` and returned with that softmax as e and s = 1.
+    """
+    top = table.max(axis=1)
+    e = np.take(np.exp(table - top[:, None]), index)
+    s = e.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
+    redo = ~((e[:, 0] >= _TINY) & np.isfinite(lse))
+    if redo.any():
+        lse[redo], e[redo] = _lse_and_softmax(table.ravel()[index[redo]])
+        s[redo] = 1.0
+    return lse, e, s
 
 
 def _check_k(k: int) -> None:
@@ -141,11 +179,11 @@ def ranking_value_grad(
     """
     index, counts = dataset.ranking_keys(sf.m_x, sf.m_y)
     theta = check_params(theta, sf.n_params)
-    cand = _shifted_table(sf, theta, noise).ravel()[index]
-    lse, coeff = _lse_and_softmax(cand)
-    coeff *= -counts[:, None]
+    shat = _shifted_table(sf, theta, noise)
+    lse, coeff, row_sum = _gathered_exp(shat, index)
+    coeff *= (-counts / row_sum)[:, None]
     coeff[:, 0] += counts
-    value = float(np.sum(counts * (cand[:, 0] - lse)) / dataset.n)
+    value = float(np.sum(counts * (shat.ravel()[index[:, 0]] - lse)) / dataset.n)
     return value, _scatter_grad(sf, theta, index, coeff) / dataset.n
 
 
@@ -421,10 +459,10 @@ def regularizer_from_draws(
     if alpha == 0.0 or n == 0:
         return 0.0, np.zeros(sf.n_params)
     index = x_idx[:, None] * sf.m_y + draws
-    lse, w = _lse_and_softmax(_shifted_table(sf, theta, noise).ravel()[index])
+    lse, coeff, row_sum = _gathered_exp(_shifted_table(sf, theta, noise), index)
     log_zhat = lse - np.log(draws.shape[1])
     value = float(alpha / n * np.sum(log_zhat**2))
-    coeff = (2.0 * alpha / n) * log_zhat[:, None] * w
+    coeff *= ((2.0 * alpha / n) * log_zhat / row_sum)[:, None]
     return value, _scatter_grad(sf, theta, index, coeff)
 
 

@@ -85,6 +85,7 @@ class EstimationReport:
     final_objective: float
     grad_norm: float
     iterations: int
+    n_evaluations: int  # value-and-gradient calls, rejected line-search trials included
     converged: bool
     stalled: bool
     message: str
@@ -105,6 +106,7 @@ class EstimationReport:
             "final_objective": self.final_objective,
             "grad_norm": self.grad_norm,
             "iterations": self.iterations,
+            "n_evaluations": self.n_evaluations,
             "converged": self.converged,
             "stalled": self.stalled,
             "message": self.message,
@@ -198,6 +200,7 @@ def fit(
     value_grad = _make_value_grad(sf, data, noise, cfg)
     params = _initial_params(sf, cfg)
     value, grad = value_grad(params)
+    n_evaluations = 1
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise InitializationError(
             f"objective non-finite at the initial point (value={value!r})"
@@ -214,6 +217,7 @@ def fit(
         while True:
             candidate = _clamp_gamma(params + step * grad, cfg)
             new_value, new_grad = value_grad(candidate)
+            n_evaluations += 1
             # sufficient strict increase keeps the trace nondecreasing and
             # rules out limit cycles of slack-accepted downhill steps; once
             # improvements sink below float noise the search stalls loudly
@@ -255,6 +259,7 @@ def fit(
         final_objective=value,
         grad_norm=grad_norm,
         iterations=iterations,
+        n_evaluations=n_evaluations,
         converged=converged,
         stalled=stalled,
         message=message,

@@ -58,6 +58,7 @@ class TestFit:
         report = json.loads(out.read_text())
         assert report["objective"] == "ranking"
         assert report["k"] == 3 and report["n"] == 1500
+        assert report["n_evaluations"] >= report["iterations"] + 1
         assert report["metrics"]["kl"] >= 0
         trace = (tmp_path / "fit.trace.csv").read_text().splitlines()
         assert trace[0].startswith("# manifest=")
@@ -286,7 +287,7 @@ class TestLm:
         evals = (tmp_path / "lm.evals.csv").read_text().splitlines()
         assert evals[1] == "iteration,train_ppl,valid_ppl"
 
-    def test_custom_corpus_and_unigram_noise(self, tmp_path):
+    def test_custom_corpus_and_unigram_noise(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text(("a b c d " * 400).strip())
         out = tmp_path / "lm.json"
@@ -295,6 +296,13 @@ class TestLm:
             "--dim", 4, "--max-iters", 40, "--noise", "unigram-pow:0.75",
             "--out", out,
         ]) == 0
+        fit = json.loads(out.read_text())["fit"]
+        assert fit["n_evaluations"] > fit["iterations"]
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.endswith(
+            f"converged={fit['converged']} iterations={fit['iterations']} "
+            f"|g|={fit['grad_norm']:.3e} evaluations={fit['n_evaluations']}"
+        )
 
     def test_empty_corpus_exits_2(self, tmp_path):
         corpus = tmp_path / "c.txt"

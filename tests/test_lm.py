@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ncelab import ValidationError
+from ncelab.model import LogBilinear
 from ncelab.cli import bundled_corpus_path
 from ncelab.lm import (
     HistoryTable,
     LmConfig,
     Vocab,
+    corpus_perplexity,
     make_noise,
     ngram_positions,
     run_lm_experiment,
@@ -51,6 +53,18 @@ class TestHistoryTable:
         unseen = table.lookup((ids[2], ids[2]))
         assert seen != unseen
         assert unseen == table.lookup((vocab.unk_id, vocab.unk_id))
+
+    def test_positions_map_unseen_histories_to_the_unk_row(self):
+        vocab = Vocab.build(["a", "b", "c"])
+        ids = vocab.encode(["a", "b", "c", "a", "b"])
+        table = HistoryTable(3, vocab, ids)
+        rows, targets = table.positions(vocab.encode(["a", "b", "c", "c", "a"]))
+        np.testing.assert_array_equal(targets, vocab.encode(["c", "c", "a"]))
+        assert rows.tolist() == [
+            table.lookup((ids[0], ids[1])),
+            table.lookup((ids[1], ids[2])),
+            table.lookup((vocab.unk_id, vocab.unk_id)),
+        ]
 
     def test_ngram_positions_shapes(self):
         ids = np.arange(10)
@@ -104,6 +118,28 @@ class TestExperiment:
         assert reg.log_z_var < base.log_z_var
         assert reg.reg_penalty_sampled is not None
         assert reg.reg_target_exact is not None
+
+    def test_each_split_is_encoded_once(self, monkeypatch):
+        encoded = []
+        positions = HistoryTable.positions
+
+        def counting(table, ids):
+            encoded.append(ids.size)
+            return positions(table, ids)
+
+        monkeypatch.setattr(HistoryTable, "positions", counting)
+        rep = run_lm_experiment(
+            SMALL_TEXT, LmConfig(loss="ranking", k=4, dim=8, max_iters=60, seed=1)
+        )
+        assert len(rep.eval_rows) == 3 and len(encoded) == 2
+        # the reported perplexities are those of the final parameters
+        tokens = SMALL_TEXT.split()
+        split = int(round(len(tokens) * 0.9))
+        vocab = Vocab.build(tokens[:split])
+        table = HistoryTable(2, vocab, vocab.encode(tokens[:split]))
+        sf = LogBilinear(table.rows, vocab.size, 8)
+        valid = table.positions(vocab.encode(tokens[split:]))
+        assert corpus_perplexity(sf, rep.fit.theta, *valid) == rep.valid_ppl
 
     def test_binary_loss_runs(self):
         rep = run_lm_experiment(

@@ -14,6 +14,8 @@ from ncelab import (
     BinaryParams,
     ContextBias,
     Dataset,
+    FitConfig,
+    InitializationError,
     LinearFeatures,
     NoiseDistribution,
     RegularizerConfig,
@@ -22,6 +24,7 @@ from ncelab import (
     binary_gradient,
     binary_objective,
     counterexample_problem,
+    fit,
     generate_dataset,
     mle_gradient,
     mle_objective,
@@ -33,7 +36,9 @@ from ncelab import (
     ranking_objective,
     regularizer,
 )
+from ncelab import objectives
 from ncelab.objectives import (
+    _gathered_exp,
     _lse_and_softmax,
     _scatter_grad,
     _shifted_table,
@@ -580,10 +585,10 @@ def small_problems(draw, max_k=4, max_m_y=5):
     return problem, sf, noise, dataset, theta, float(rng.normal()), k
 
 
-def assert_matches(got, want):
+def assert_matches(got, want, grad_floor=1e-12):
     (value, grad), (ref_value, ref_grad) = got, want
     assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-15)
-    assert np.linalg.norm(grad - ref_grad) <= 1e-10 * max(np.linalg.norm(ref_grad), 1e-12)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-10 * max(np.linalg.norm(ref_grad), grad_floor)
 
 
 class TestValueGradMatchesReference:
@@ -592,7 +597,9 @@ class TestValueGradMatchesReference:
     def test_ranking(self, case):
         _, sf, noise, ds, theta, _, _ = case
         first = ranking_value_grad(sf, theta, ds, noise)
-        assert_matches(first, ref_ranking(sf, theta, ds, noise))
+        # where the exact gradient cancels to 0 both sides keep ~1e-16 of
+        # rounding, and the kernel's softmax rounds differently from scipy's
+        assert_matches(first, ref_ranking(sf, theta, ds, noise), grad_floor=1e-5)
         second = ranking_value_grad(sf, theta, ds, noise)
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
@@ -659,6 +666,79 @@ class TestLseAndSoftmax:
         np.testing.assert_array_equal(q, np.exp(log_softmax(cand, axis=1)))
 
 
+class TestGatheredExp:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 6),
+        st.integers(1, 60),
+        st.integers(1, 40),
+        st.integers(1, 120),
+        st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+        st.booleans(),
+    )
+    def test_matches_lse_and_softmax(self, seed, m_x, m_y, rows, cols, scale, ties):
+        rng = np.random.default_rng(seed)
+        table = scale * rng.standard_normal((m_x, m_y))
+        # each row draws its candidates, with repeats, from one context row
+        index = rng.integers(0, m_x, rows)[:, None] * m_y + rng.integers(0, m_y, (rows, cols))
+        if ties:
+            table = np.round(table)
+        lse, e, row_sum = _gathered_exp(table, index)
+        cand = table.ravel()[index]
+        ref_lse, ref_q = _lse_and_softmax(cand)
+        # relative to the row's largest magnitude: where the log-sum-exp
+        # cancels to near 0, both sides keep ~1e-16 of their O(1) terms' rounding
+        row_scale = np.maximum(np.abs(ref_lse), np.abs(cand).max(axis=1))
+        assert np.all(np.abs(lse - ref_lse) <= 1e-13 * row_scale)
+        np.testing.assert_allclose(e / row_sum[:, None], ref_q, rtol=0, atol=1e-13)
+
+    def test_underflowing_rows_take_the_fallback_bit_for_bit(self, monkeypatch):
+        calls = []
+
+        def counting(cand):
+            calls.append(cand.shape[0])
+            return _lse_and_softmax(cand)
+
+        monkeypatch.setattr(objectives, "_lse_and_softmax", counting)
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((3, 20))
+        # contexts 0 and 2 peak at label 0; every other label sits about 740
+        # below, where its shifted exp is subnormal: finite but inexact
+        table[[0, 2], 0] = 740.0
+        ctx, labels = rng.integers(0, 3, 30), rng.integers(1, 20, (30, 9))
+        labels[::4, 3] = 0
+        labels[::3, 0] = 0
+        index = ctx[:, None] * 20 + labels
+        # the first candidate underflows, whether or not a later one peaks
+        far = (ctx != 1) & (labels[:, 0] != 0)
+        lse, e, row_sum = _gathered_exp(table, index)
+        assert calls == [int(far.sum())] and not far.all()
+        assert (far & (labels[:, 3] == 0)).any() and (far & (labels[:, 3] != 0)).any()
+        ref_lse, ref_q = _lse_and_softmax(table.ravel()[index[far]])
+        np.testing.assert_array_equal(lse[far], ref_lse)
+        np.testing.assert_array_equal(e[far] / row_sum[far, None], ref_q)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scores_give_non_finite_values(self, bad):
+        problem, noise, ds, theta = small_setup(seed=43, n=20)
+        features = problem.scoring.features.copy()
+        features[ds.x[0], ds.y[0], 0] = bad
+        sf = LinearFeatures(features)
+        theta = np.abs(theta) + 0.5
+        assert not np.isfinite(ranking_value_grad(sf, theta, ds, noise)[0])
+        draws = np.concatenate([ds.y[:, None], ds.negatives], axis=1)
+        assert not np.isfinite(regularizer_from_draws(sf, theta, ds.x, draws, noise, 0.7)[0])
+
+    def test_overflowing_scores_stop_a_ranking_fit_at_the_initial_point(self):
+        sf = LinearFeatures(np.array([[[1e308], [-1e308]]]))
+        ds = Dataset(x=[0], y=[1], negatives=[[0]], provenance={})
+        noise = NoiseDistribution.uniform(2)
+        cfg = FitConfig(objective="ranking", init="gaussian", seed=1, init_sigma=10.0)
+        with pytest.raises(InitializationError):
+            fit(sf, ds, noise, cfg)
+
+
 class TestDatasetTables:
     def test_built_once_per_shape(self):
         ds = Dataset(x=[0, 1, 1], y=[2, 0, 2], negatives=[[1, 1], [0, 2], [2, 2]], provenance={})
@@ -705,11 +785,12 @@ def repeated_rows(draw):
 def unweighted_ranking(sf, theta, ds, noise):
     """The per-row kernel over the dataset's rows as drawn, with np.mean."""
     index = ds.tables(sf.m_x, sf.m_y).index
-    cand = _shifted_table(sf, theta, noise).ravel()[index]
-    lse, q = _lse_and_softmax(cand)
-    coeff = -q
+    shat = _shifted_table(sf, theta, noise)
+    lse, coeff, row_sum = _gathered_exp(shat, index)
+    coeff *= (-1.0 / row_sum)[:, None]
     coeff[:, 0] += 1.0
-    return float(np.mean(cand[:, 0] - lse)), _scatter_grad(sf, theta, index, coeff) / ds.n
+    value = float(np.mean(shat.ravel()[index[:, 0]] - lse))
+    return value, _scatter_grad(sf, theta, index, coeff) / ds.n
 
 
 class TestRankingFold:

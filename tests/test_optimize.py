@@ -17,6 +17,7 @@ from ncelab import (
     generate_dataset,
     random_tabular_problem,
 )
+from ncelab import optimize
 
 
 class TestCounterexampleFits:
@@ -102,6 +103,40 @@ class TestFitMechanics:
         cfg = FitConfig(objective="mle", init="gaussian", seed=1, init_sigma=10.0)
         with pytest.raises(InitializationError):
             fit(sf2, ds, None, cfg)
+
+    @pytest.mark.parametrize(
+        "objective, tol, max_iters", [("ranking", 1e-7, 60), ("population-binary", 1e-300, 10**6)]
+    )
+    def test_n_evaluations_counts_every_value_grad_call(
+        self, monkeypatch, objective, tol, max_iters
+    ):
+        calls = []
+        make = optimize._make_value_grad
+
+        def counting_make(*args):
+            value_grad = make(*args)
+
+            def counted(params):
+                calls.append(params)
+                return value_grad(params)
+
+            return counted
+
+        monkeypatch.setattr(optimize, "_make_value_grad", counting_make)
+        if objective == "ranking":
+            p = random_tabular_problem(3, 4, 3, seed=5)
+            noise = NoiseDistribution.uniform(4)
+            data = generate_dataset(p, 500, SamplingConfig(k=2, seed=6), noise)
+        else:
+            p = data = counterexample_problem()
+            noise = NoiseDistribution.uniform(2)
+        cfg = FitConfig(
+            objective=objective, k=2, tol=tol, max_iters=max_iters, init="gaussian", seed=9
+        )
+        report = fit(p.scoring, data, noise, cfg)
+        # the initial point, every accepted step and every rejected trial
+        assert report.n_evaluations == len(calls) > report.iterations + 1
+        assert report.to_json_dict()["n_evaluations"] == len(calls)
 
     def test_stall_reports_diagnostics(self):
         # a tolerance below the float-noise floor cannot be met; the line
