@@ -11,15 +11,19 @@ where W_K is the expected outer product of the posterior-weighted
 candidate gradients, so the sandwich collapses to the inverse of a single
 "information" matrix.
 
-Exact mode computes W_K and the score variance as sums over the positive
-label u and the K negatives. The negatives are i.i.d. draws from p_N and
-the ranking loss is symmetric in them, so instead of the m_y**K ordered
-tuples the sum runs over the C(m_y+K-1, K) count vectors c (c_j negatives
-carry label j, sum_j c_j = K), each weighted by its multinomial
-probability K!/prod_j c_j! prod_j p_N(j)^{c_j}. The term budget counts
-these, m_x * C(m_y+K-1, K). Exact mode verifies the collapse
-numerically (the directly enumerated score variance must match within
-1e-8) before trusting it, and records the gap on the report.
+Both modes compute W_K and the score variance with one routine, as sums
+over the context x, the positive label u and the K negatives. The
+negatives are i.i.d. draws from p_N and the ranking loss is symmetric in
+them, so instead of the m_y**K ordered tuples the sum runs over count
+vectors c (c_j negatives carry label j, sum_j c_j = K). Exact mode takes
+all C(m_y+K-1, K) of them, each weighted by its multinomial probability
+K!/prod_j c_j! prod_j p_N(j)^{c_j}; the term budget counts these,
+m_x * C(m_y+K-1, K). Exact mode verifies the collapse numerically (the
+directly summed score variance must match within 1e-8) before trusting
+it, and records the gap on the report. Monte Carlo mode draws M count
+vectors from the multinomial, at weight 1/M each, and still sums x and
+u exactly, so only the negatives are sampled; its standard errors are
+batch means over MC_BATCHES batches.
 
 For the binary objective (which requires a self-normalized truth) the
 factors differ and the full sandwich is kept:
@@ -39,14 +43,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_softmax
+from scipy.special import expit
 
 from .errors import SingularMatrixError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params
 from .objectives import (
+    _COUNT_BLOCK,
     _shifted_table,
-    _simulate_tuples,
     check_term_budget,
+    count_vectors,
     ranking_count_terms,
 )
 from .optimize import FitConfig, fit
@@ -187,19 +192,21 @@ def ranking_asymptotic_cov(
 ) -> CovarianceReport:
     """Asymptotic covariance of the ranking estimator at the truth.
 
-    Exact mode sums over the positive label and the count vectors of the
-    K negatives, each weighted by its multinomial probability (see the
-    module docstring), within the budget of m_x * C(m_y+K-1, K) terms,
-    and records the sandwich-collapse gap on the report; Monte Carlo mode
-    averages num_samples simulated tuples and attaches batch-means
-    standard errors.
+    Both modes sum every context and positive label exactly and differ
+    only in the count vectors of the K negatives (see the module
+    docstring). Exact mode takes all C(m_y+K-1, K) of them at their
+    multinomial probabilities, within the budget of m_x * C(m_y+K-1, K)
+    terms, and records the sandwich-collapse gap on the report. Monte
+    Carlo mode draws num_samples count vectors from the multinomial, each
+    summed over all m_x * m_y (context, positive) pairs, in MC_BATCHES
+    batches, and attaches the batch-means standard errors of the
+    information.
     """
     if k < 1:
         raise ValidationError(f"K must be >= 1, got {k}")
     theta_star = check_params(theta_star, sf.n_params)
     shat = _shifted_table(sf, theta_star, noise)
     grads = sf.grad_table(theta_star)
-    d = sf.n_params
     term1 = _pair_outer_expectation(problem, grads)
     collapse_gap = None
 
@@ -207,7 +214,8 @@ def ranking_asymptotic_cov(
         check_term_budget(
             problem.m_x * math.comb(problem.m_y + k - 1, k), "ranking covariance"
         )
-        w_mix, score_var = _exact_ranking_factors(problem, shat, grads, noise, k)
+        blocks = count_vectors(noise.log_probs, k)
+        w_mix, score_var = _ranking_factors(problem, shat, grads, blocks)
         information = _symmetrize(term1 - w_mix, what="ranking information")
         collapse_gap = float(np.max(np.abs(score_var - information)))
         if collapse_gap > COLLAPSE_TOL:
@@ -216,7 +224,6 @@ def ranking_asymptotic_cov(
                 f"disagree by {collapse_gap:.3e} (> {COLLAPSE_TOL}); the sandwich "
                 "does not collapse"
             )
-        inverse = invert_spd(information, "ranking information")
         stderr = None
         m = None
     elif mode == "mc":
@@ -226,30 +233,18 @@ def ranking_asymptotic_cov(
             )
         rng = derive_rng(seed, 7)
         m = int(num_samples)
-        batch_sums = np.zeros((MC_BATCHES, d, d))
-        batch_counts = np.zeros(MC_BATCHES)
-        chunk = max(1, min(m, 200_000 // (k + 1) + 1))
-        done = 0
-        while done < m:
-            size = min(chunk, m - done)
-            x, labels = _simulate_tuples(problem, noise, k, size, rng)
-            cand_scores = shat[x[:, None], labels]
-            q = np.exp(log_softmax(cand_scores, axis=1))
-            cand_grads = grads[x[:, None], labels]                # (B, K+1, d)
-            v = np.einsum("bk,bkd->bd", q, cand_grads)
-            outer = np.einsum("bd,be->bde", v, v)
-            batch_idx = (done + np.arange(size)) * MC_BATCHES // m
-            np.add.at(batch_sums, batch_idx, outer)
-            np.add.at(batch_counts, batch_idx, 1.0)
-            done += size
-        batch_means = batch_sums / batch_counts[:, None, None]
+        sizes = np.diff(np.arange(MC_BATCHES + 1) * m // MC_BATCHES)
+        batch_means = np.array([
+            _ranking_factors(problem, shat, grads, _sampled_counts(rng, noise, k, size))[0]
+            for size in sizes
+        ])
         w_mix = batch_means.mean(axis=0)
         stderr = batch_means.std(axis=0, ddof=1) / np.sqrt(MC_BATCHES)
         information = _symmetrize(term1 - w_mix, tol=np.inf, what="ranking information")
-        inverse = invert_spd(information, "ranking information")
     else:
         raise ValidationError(f"unknown mode '{mode}' (expected 'exact' or 'mc')")
 
+    inverse = invert_spd(information, "ranking information")
     report = CovarianceReport(
         estimator="ranking",
         k=k,
@@ -264,18 +259,38 @@ def ranking_asymptotic_cov(
     return report
 
 
-def _exact_ranking_factors(problem, shat, grads, noise, k):
-    """W_K and the score variance E[(grad_u - v)(grad_u - v)^T], summed over
-    the positive label u and the negatives' count vectors c, where
-    v = (e_u grad_u + sum_j c_j e_j grad_j) / (e_u + sum_j c_j e_j)."""
+def _sampled_counts(rng, noise, k, size):
+    """``size`` count vectors of K i.i.d. noise labels, each at weight 1/size,
+    in blocks of at most as many rows as a ``count_vectors`` block."""
+    rows = max(1, _COUNT_BLOCK // noise.size)
+    for start in range(0, size, rows):
+        block = rng.multinomial(k, noise.probs, size=min(rows, size - start))
+        yield block, np.full(len(block), -math.log(size))
+
+
+def _ranking_factors(problem, shat, grads, blocks):
+    """W_K and the score variance E[(g_u - v)(g_u - v)^T], summed over every
+    context x and positive label u and over the count vectors c of
+    ``blocks`` at their weights, where g = grads[x] and
+    v = (e_u g_u + sum_j c_j e_j g_j) / (e_u + sum_j c_j e_j).
+
+    With the posteriors of ``ranking_count_terms``, v = q g_u + r h_c for
+    h = mass @ g, so both factors reduce to (m_y, M) weights:
+    sum w v v^T = g^T diag(sum_c w q^2) g + sym(g^T (w q r) h) + h^T diag(sum_u w r^2) h,
+    and the score variance likewise with 1 - q for q and -r for r.
+    """
     d = grads.shape[2]
     w_mix = np.zeros((d, d))
     score_var = np.zeros((d, d))
-    for x, weight, _, q, r, mass in ranking_count_terms(problem, shat, noise, k):
-        v = q[:, :, None] * grads[x][:, None, :] + r[:, :, None] * (mass @ grads[x])[None]
-        w_mix += np.einsum("ut,utd,ute->de", weight, v, v)
-        u = grads[x][:, None, :] - v                       # score of the objective
-        score_var += np.einsum("ut,utd,ute->de", weight, u, u)
+    for x, w, _, q, r, mass in ranking_count_terms(problem, shat, blocks):
+        g = grads[x]
+        h = mass @ g
+        wr = w * r
+        shared = (h.T * (wr * r).sum(axis=0)) @ h
+        mixed = g.T @ ((wr * q) @ h)
+        w_mix += (g.T * (w * q * q).sum(axis=1)) @ g + mixed + mixed.T + shared
+        mixed = g.T @ ((wr * (1.0 - q)) @ h)
+        score_var += (g.T * (w * (1.0 - q) ** 2).sum(axis=1)) @ g - mixed - mixed.T + shared
     return w_mix, score_var
 
 

@@ -60,14 +60,6 @@ def tabular_noise(problem: ConditionalProblem, spec: str) -> NoiseDistribution:
     return NoiseDistribution(weights / weights.sum())
 
 
-def _parse_gamma_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(part) for part in text.split(":"))
-    except ValueError as exc:
-        raise ValidationError(f"--gamma-range expects 'lo:hi', got {text!r}") from exc
-    return lo, hi
-
-
 def _parse_k_list(text: str) -> list[int]:
     try:
         return [int(k) for k in text.split(",")]
@@ -98,6 +90,19 @@ def _out_base(path: str) -> str:
     return root if ext else path
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _finish(manifest: RunManifest, watch: Stopwatch, out: str, outputs: list[str]) -> None:
+    """Record the outputs and wall clock, and write the manifest next to ``out``."""
+    manifest.output_paths = outputs
+    manifest.wall_clock_seconds = watch.elapsed
+    manifest.write(_out_base(out) + ".manifest.json")
+
+
 def cmd_synth(args) -> int:
     manifest = _manifest(args, "synth")
     with Stopwatch() as watch:
@@ -108,16 +113,12 @@ def cmd_synth(args) -> int:
         else:
             problem = random_tabular_problem(args.m_x, args.m_y, args.d, args.seed)
         problem.save(args.out)
-    manifest.output_paths = [args.out]
-    manifest.wall_clock_seconds = watch.elapsed
-    manifest.write(_out_base(args.out) + ".manifest.json")
+    _finish(manifest, watch, args.out, [args.out])
     print(f"wrote {args.kind} problem ({args.m_x} x {args.m_y}, d={args.d}) to {args.out}")
     return 0
 
 
 def _load_problem(args, manifest: RunManifest) -> ConditionalProblem:
-    if args.problem is None:
-        raise ValidationError("--problem is required")
     manifest.add_input("problem", args.problem)
     return ConditionalProblem.load(args.problem)
 
@@ -149,7 +150,6 @@ def cmd_fit(args) -> int:
             reg=reg,
             max_iters=args.max_iters,
             tol=args.tol,
-            gamma_range=_parse_gamma_range(args.gamma_range),
             seed=args.seed,
         )
         report = fit(sf, dataset, noise, cfg)
@@ -160,9 +160,7 @@ def cmd_fit(args) -> int:
         payload["n"] = dataset.n
         payload["k"] = dataset.k
         payload["manifest"] = digest
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.out, payload)
         trace_path = _out_base(args.out) + ".trace.csv"
         write_csv(
             trace_path,
@@ -190,9 +188,7 @@ def cmd_fit(args) -> int:
         if args.save_dataset:
             save_dataset_jsonl(dataset, args.save_dataset)
             outputs.append(args.save_dataset)
-    manifest.output_paths = outputs
-    manifest.wall_clock_seconds = watch.elapsed
-    manifest.write(_out_base(args.out) + ".manifest.json")
+    _finish(manifest, watch, args.out, outputs)
     print(
         f"{args.estimator} fit: objective={report.final_objective:.6f} "
         f"kl={metrics.kl:.6f} d={metrics.d_metric:.3e} converged={report.converged}"
@@ -247,9 +243,7 @@ def cmd_counterexample(args) -> int:
             rows,
             manifest.digest(),
         )
-    manifest.output_paths = [args.out]
-    manifest.wall_clock_seconds = watch.elapsed
-    manifest.write(_out_base(args.out) + ".manifest.json")
+    _finish(manifest, watch, args.out, [args.out])
     print(
         "counterexample reproduced: binary pins the conditional ratio at 3/7, "
         "ranking recovers 1/3 (truth), for K in {1,2,5,10}"
@@ -320,9 +314,7 @@ def cmd_asymptotics(args) -> int:
             rows,
             manifest.digest(),
         )
-    manifest.output_paths = [args.out]
-    manifest.wall_clock_seconds = watch.elapsed
-    manifest.write(_out_base(args.out) + ".manifest.json")
+    _finish(manifest, watch, args.out, [args.out])
     print(f"wrote {len(rows)} rate rows to {args.out}")
     if collapse_gaps:
         print(
@@ -340,7 +332,6 @@ def cmd_replicate(args) -> int:
             objective=args.estimator,
             max_iters=args.max_iters,
             tol=args.tol,
-            gamma_range=_parse_gamma_range(args.gamma_range),
         )
         summary = replicate(
             problem, cfg, noise, k=args.K, n=args.n,
@@ -348,12 +339,8 @@ def cmd_replicate(args) -> int:
         )
         payload = summary.to_json_dict()
         payload["manifest"] = manifest.digest()
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-    manifest.output_paths = [args.out]
-    manifest.wall_clock_seconds = watch.elapsed
-    manifest.write(_out_base(args.out) + ".manifest.json")
+        _write_json(args.out, payload)
+    _finish(manifest, watch, args.out, [args.out])
     print(
         f"{args.estimator} x{args.replications}: relative Frobenius error "
         f"{summary.rel_frobenius_error:.4f}, empirical mse {summary.empirical_mse:.4f} "
@@ -392,9 +379,7 @@ def cmd_lm(args) -> int:
         digest = manifest.digest()
         payload = report.to_json_dict()
         payload["manifest"] = digest
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.out, payload)
         eval_path = _out_base(args.out) + ".evals.csv"
         write_csv(
             eval_path,
@@ -402,9 +387,7 @@ def cmd_lm(args) -> int:
             report.eval_rows,
             digest,
         )
-    manifest.output_paths = [args.out, eval_path]
-    manifest.wall_clock_seconds = watch.elapsed
-    manifest.write(_out_base(args.out) + ".manifest.json")
+    _finish(manifest, watch, args.out, [args.out, eval_path])
     print(
         f"{args.estimator} lm: train_ppl={report.train_ppl:.3f} "
         f"valid_ppl={report.valid_ppl:.3f} var[log Z]={report.log_z_var:.5f} "
@@ -460,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add per-context bias parameters to the estimator")
     p.add_argument("--reg-alpha", type=float, default=0.0)
     p.add_argument("--reg-m", type=int, default=10)
-    p.add_argument("--gamma-range", default="-30:30")
     p.add_argument("--save-dataset", help="also write the generated dataset")
     p.add_argument("--out", required=True)
     _add_common_fit_flags(p)
@@ -496,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--gamma-range", default="-30:30")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_replicate)
 

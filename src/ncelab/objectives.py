@@ -49,6 +49,7 @@ from .model import ConditionalProblem, ScoringFunction, check_params
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
 TERM_BUDGET = 10**7
+_COUNT_BLOCK = 1 << 16  # cells per block of count vectors, exact or sampled
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -300,7 +301,7 @@ def check_term_budget(terms: int, what: str) -> None:
         )
 
 
-def count_vectors(log_pn: np.ndarray, k: int, block: int = 1 << 16):
+def count_vectors(log_pn: np.ndarray, k: int, block: int = _COUNT_BLOCK):
     """Yield (counts, log_weight) blocks covering every multiset of K noise labels.
 
     ``counts`` is (M, m_y), one count vector c (sum_j c_j = K) per row, and
@@ -328,15 +329,15 @@ def count_vectors(log_pn: np.ndarray, k: int, block: int = 1 << 16):
         yield counts, log_fact[k] - log_fact[counts].sum(axis=1) + counts @ log_pn
 
 
-def ranking_count_terms(
-    problem: ConditionalProblem, shat: np.ndarray, noise: NoiseDistribution, k: int
-):
-    """Yield the exact ranking sum's terms, one (context, block) at a time.
+def ranking_count_terms(problem: ConditionalProblem, shat: np.ndarray, blocks):
+    """Yield the ranking sum's terms, one (context, block) at a time.
 
-    For context x, every positive label u (rows) and every count vector c
-    of a ``count_vectors`` block (columns), yields (x, w, log_q, q, r, mass):
+    ``blocks`` yields (counts, log_weight) pairs of negative count vectors,
+    ``count_vectors`` for the exact sum or a weighted sample of them. For
+    context x, every positive label u (rows) and every count vector c of a
+    block (columns), yields (x, w, log_q, q, r, mass):
 
-    * w (m_y, M): the term's probability p_x p(u|x) times c's multinomial weight;
+    * w (m_y, M): the term's probability p_x p(u|x) times c's weight;
     * log_q, q (m_y, M): log and value of the positive slot's posterior;
     * r (m_y, M) and mass (M, m_y): the negatives labelled j hold posterior
       r * mass[:, j] together.
@@ -346,7 +347,7 @@ def ranking_count_terms(
     taken relative to the tuple's largest score: mass is c_j exp(a_j - b),
     b the largest score among c's labels.
     """
-    for counts, log_weight in count_vectors(noise.log_probs, k):
+    for counts, log_weight in blocks:
         noise_mass = np.exp(log_weight)
         present = counts > 0
         for x in range(problem.m_x):
@@ -385,7 +386,8 @@ def population_ranking_value_grad(
     shat = _shifted_table(sf, theta, noise)
     total = 0.0
     table = np.zeros((problem.m_x, problem.m_y))
-    for x, w, log_q, q, r, mass in ranking_count_terms(problem, shat, noise, k):
+    blocks = count_vectors(noise.log_probs, k)
+    for x, w, log_q, q, r, mass in ranking_count_terms(problem, shat, blocks):
         total += float((w * log_q).sum())
         table[x] += (w * (1.0 - q)).sum(axis=1) - (w * r).sum(axis=0) @ mass
     return total, sf.accumulate_grad(theta, table)
@@ -400,17 +402,6 @@ def population_ranking_objective(
 ) -> float:
     """Expected ranking objective under the data and noise distributions."""
     return population_ranking_value_grad(sf, theta, problem, noise, k)[0]
-
-
-def _simulate_tuples(problem, noise, k, size, rng):
-    cum_x = np.cumsum(problem.p_x)
-    cum_x[-1] = 1.0
-    x = np.searchsorted(cum_x, rng.random(size), side="right").astype(np.int64)
-    cum_rows = np.cumsum(problem.p_y_given_x, axis=1)
-    cum_rows[:, -1] = 1.0
-    y0 = (rng.random(size)[:, None] >= cum_rows[x]).sum(axis=1).astype(np.int64)
-    negs = noise.sample(rng, (size, k))
-    return x, np.concatenate([y0[:, None], negs], axis=1)
 
 
 def population_binary_value_grad(

@@ -8,9 +8,9 @@ ends in an explicit stall report instead of a limit cycle. Desk-scale
 problems fit in memory, so there is no stochasticity to average away and
 identical (config, inputs) produce bit-identical reports.
 
-Binary fits append gamma as the last coordinate and clamp it to the
-configured interval after every step (the maximizer is assumed interior;
-the default [-30, 30] spans any desk-scale partition function).
+Binary fits append gamma as the last coordinate and clamp it to
+``_GAMMA_RANGE`` = [-30, 30] after every step (the maximizer is assumed
+interior; the interval spans any desk-scale partition function).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-bina
 _INITIAL_STEP = 1.0
 _MIN_STEP = 1e-18
 _ARMIJO = 1e-4
+_GAMMA_RANGE = (-30.0, 30.0)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class FitConfig:
     reg: RegularizerConfig | None = None
     max_iters: int = 5000
     tol: float = 1e-7
-    gamma_range: tuple[float, float] = (-30.0, 30.0)
     init: str = "zeros"
     init_sigma: float = 0.1
     seed: int = 0
@@ -63,8 +63,6 @@ class FitConfig:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.gamma_range[0] < self.gamma_range[1]:
-            raise ValidationError(f"bad gamma range {self.gamma_range}")
         if self.init not in ("zeros", "gaussian"):
             raise ValidationError(f"init must be 'zeros' or 'gaussian', got '{self.init}'")
 
@@ -172,14 +170,12 @@ def _initial_params(sf, cfg):
     else:
         rng = derive_rng(cfg.seed, 5)
         params = cfg.init_sigma * rng.standard_normal(dim)
-    if _binary_tag(cfg.objective):
-        params[-1] = np.clip(params[-1], *cfg.gamma_range)
-    return params
+    return _clamp_gamma(params, cfg)
 
 
 def _clamp_gamma(params, cfg):
     if _binary_tag(cfg.objective):
-        params[-1] = np.clip(params[-1], *cfg.gamma_range)
+        params[-1] = np.clip(params[-1], *_GAMMA_RANGE)
     return params
 
 

@@ -1,6 +1,7 @@
 """Fisher information and NCE asymptotic covariances against oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from ncelab import (
     ranking_asymptotic_cov,
     replicate,
 )
-from ncelab.asymptotics import COLLAPSE_TOL, _exact_ranking_factors
-from ncelab.objectives import _shifted_table
+from ncelab import asymptotics
+from ncelab.asymptotics import COLLAPSE_TOL, _ranking_factors
+from ncelab.objectives import _shifted_table, count_vectors
 
 
 def two_label_problem(theta0=0.0):
@@ -185,7 +187,9 @@ class TestExactRankingByCountVectors:
         noise = NoiseDistribution(raw / raw.sum())
         shat = sf.score_table(ts) - noise.log_probs[None, :]
         grads = sf.grad_table(ts)
-        w_mix, score_var = _exact_ranking_factors(prob, shat, grads, noise, k)
+        w_mix, score_var = _ranking_factors(
+            prob, shat, grads, count_vectors(noise.log_probs, k)
+        )
         term1 = np.einsum("xy,xyd,xye->de", prob.p_xy, grads, grads)
         info_ref, var_ref = brute_force_ranking_factors(prob, sf, ts, noise, k)
         assert np.max(np.abs(term1 - w_mix - info_ref)) <= 1e-12 * np.max(np.abs(info_ref))
@@ -216,6 +220,68 @@ class TestExactRankingByCountVectors:
         )
         gap = np.abs(mc.information - exact.information)
         assert np.all(gap <= 4 * mc.information_stderr + 1e-12)
+
+
+class TestRankingFactorBlocks:
+    """Exact and Monte Carlo mode share ``_ranking_factors``; only the
+    count-vector blocks they hand it differ."""
+
+    def test_factors_do_not_depend_on_the_block_split(self):
+        prob = random_tabular_problem(3, 4, 2, seed=31)
+        sf, ts = prob.scoring, prob.theta_star
+        raw = np.random.default_rng(31).random(4) + 0.1
+        noise = NoiseDistribution(raw / raw.sum())
+        k = 5
+        shat = _shifted_table(sf, ts, noise)
+        grads = sf.grad_table(ts)
+        every = list(count_vectors(noise.log_probs, k, block=1 << 16))
+        assert len(every) == 1  # C(8, 5) = 56 count vectors in one block
+        (counts, _), = every
+        # one block holding every count vector at its multinomial weight,
+        # written out independently of count_vectors
+        log_weight = np.array([
+            np.log(math.factorial(k) / np.prod([math.factorial(c) for c in row])
+                   * np.prod(noise.probs ** row))
+            for row in counts
+        ])
+        want = _ranking_factors(prob, shat, grads, [(counts, log_weight)])
+        for block in (1, 4, 9, 40):
+            got = _ranking_factors(
+                prob, shat, grads, count_vectors(noise.log_probs, k, block=block)
+            )
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_monte_carlo_reruns_bit_identically(self):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(4)
+        first, second = (
+            ranking_asymptotic_cov(prob, sf, ts, noise, 6, mode="mc", num_samples=5000, seed=9)
+            for _ in range(2)
+        )
+        assert np.array_equal(first.information, second.information)
+        assert np.array_equal(first.information_stderr, second.information_stderr)
+
+    def test_monte_carlo_blocks_stay_under_the_row_cap(self, monkeypatch):
+        prob = random_tabular_problem(1, 300, 2, seed=5)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(300)
+        rows = []
+        inner = asymptotics.ranking_count_terms
+
+        def spy(problem, shat, blocks):
+            def recorded():
+                for counts, log_weight in blocks:
+                    rows.append(len(counts))
+                    yield counts, log_weight
+
+            return inner(problem, shat, recorded())
+
+        monkeypatch.setattr(asymptotics, "ranking_count_terms", spy)
+        ranking_asymptotic_cov(prob, sf, ts, noise, 3, mode="mc", num_samples=16_000, seed=1)
+        # 32 batches of 500 draws, each split at 2**16 // 300 = 218 rows
+        assert rows == [218, 218, 64] * 32
 
 
 class TestBinaryCov:

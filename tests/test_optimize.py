@@ -86,11 +86,12 @@ class TestFitMechanics:
         report = fit(p.scoring, p, noise, cfg)
         assert report.converged and report.grad_norm <= 1e-7
 
-    def test_gamma_stays_clamped(self):
+    def test_gamma_stays_clamped(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_GAMMA_RANGE", (-0.05, 0.05))
         problem = random_tabular_problem(2, 3, 2, seed=7)
         noise = NoiseDistribution.uniform(3)
         ds = generate_dataset(problem, 200, SamplingConfig(k=1, seed=8), noise)
-        cfg = FitConfig(objective="binary", gamma_range=(-0.05, 0.05), max_iters=200)
+        cfg = FitConfig(objective="binary", max_iters=200)
         report = fit(problem.scoring, ds, noise, cfg)
         assert -0.05 <= report.gamma <= 0.05
 
