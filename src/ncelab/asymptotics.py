@@ -48,11 +48,11 @@ from scipy.special import expit
 from .errors import SingularMatrixError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params
 from .objectives import (
-    _COUNT_BLOCK,
     _shifted_table,
     check_term_budget,
     count_vectors,
     ranking_count_terms,
+    sample_count_vectors,
 )
 from .optimize import FitConfig, fit
 from .sampling import (
@@ -73,11 +73,9 @@ class CovarianceReport:
     """Asymptotic covariance of sqrt(n)(theta_hat - theta*) for one estimator."""
 
     estimator: str
-    k: int
     information: np.ndarray
     inverse: np.ndarray
     mode: str
-    num_samples: int | None = None
     information_stderr: np.ndarray | None = None
     collapse_gap: float | None = None
 
@@ -85,23 +83,6 @@ class CovarianceReport:
     def mse_infinity(self) -> float:
         """Scaled asymptotic mean square error, trace(I^{-1})/d."""
         return float(np.trace(self.inverse)) / self.inverse.shape[0]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "estimator": self.estimator,
-            "k": self.k,
-            "mode": self.mode,
-            "information": self.information.tolist(),
-            "inverse": self.inverse.tolist(),
-            "mse_infinity": self.mse_infinity,
-        }
-        if self.num_samples is not None:
-            out["num_samples"] = self.num_samples
-        if self.information_stderr is not None:
-            out["information_stderr"] = self.information_stderr.tolist()
-        if self.collapse_gap is not None:
-            out["collapse_gap"] = self.collapse_gap
-        return out
 
 
 @dataclass
@@ -225,17 +206,15 @@ def ranking_asymptotic_cov(
                 "does not collapse"
             )
         stderr = None
-        m = None
     elif mode == "mc":
         if num_samples is None or num_samples < MC_BATCHES * 2:
             raise ValidationError(
                 f"monte-carlo mode needs num_samples >= {MC_BATCHES * 2}"
             )
         rng = derive_rng(seed, 7)
-        m = int(num_samples)
-        sizes = np.diff(np.arange(MC_BATCHES + 1) * m // MC_BATCHES)
+        sizes = np.diff(np.arange(MC_BATCHES + 1) * int(num_samples) // MC_BATCHES)
         batch_means = np.array([
-            _ranking_factors(problem, shat, grads, _sampled_counts(rng, noise, k, size))[0]
+            _ranking_factors(problem, shat, grads, sample_count_vectors(rng, noise, k, size))[0]
             for size in sizes
         ])
         w_mix = batch_means.mean(axis=0)
@@ -247,25 +226,14 @@ def ranking_asymptotic_cov(
     inverse = invert_spd(information, "ranking information")
     report = CovarianceReport(
         estimator="ranking",
-        k=k,
         information=information,
         inverse=inverse,
         mode=mode,
-        num_samples=m,
         information_stderr=stderr,
         collapse_gap=collapse_gap,
     )
     _check_psd(report)
     return report
-
-
-def _sampled_counts(rng, noise, k, size):
-    """``size`` count vectors of K i.i.d. noise labels, each at weight 1/size,
-    in blocks of at most as many rows as a ``count_vectors`` block."""
-    rows = max(1, _COUNT_BLOCK // noise.size)
-    for start in range(0, size, rows):
-        block = rng.multinomial(k, noise.probs, size=min(rows, size - start))
-        yield block, np.full(len(block), -math.log(size))
 
 
 def _ranking_factors(problem, shat, grads, blocks):
@@ -344,7 +312,6 @@ def binary_asymptotic_cov(
     information = invert_spd(inverse, "binary covariance")
     report = CovarianceReport(
         estimator="binary",
-        k=k,
         information=information,
         inverse=inverse,
         mode="exact",

@@ -209,12 +209,12 @@ def cmd_counterexample(args) -> int:
             binary = fit(
                 sf, problem, noise,
                 FitConfig(objective="population-binary", k=k, tol=args.tol,
-                          max_iters=args.max_iters, seed=args.seed),
+                          max_iters=args.max_iters),
             )
             ranking = fit(
                 sf, problem, noise,
                 FitConfig(objective="population-ranking", k=k, tol=args.tol,
-                          max_iters=args.max_iters, seed=args.seed),
+                          max_iters=args.max_iters),
             )
             reports += [binary, ranking]
             cond_b = cond_prob_table(sf, binary.theta)[0]
@@ -452,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample",
         help="reproduce the binary-inconsistency instance (ratios 3/7 vs 1/3)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", required=True)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .model import LogBilinear, log_cond_prob_table
+from .model import ContextBias, LogBilinear, log_cond_prob_table
 from .objectives import RegularizerConfig, regularizer
 from .optimize import EstimationReport, FitConfig, fit
 from .sampling import (
@@ -39,12 +39,8 @@ class Vocab:
     unk_id: int
 
     @classmethod
-    def build(cls, tokens, min_count: int = 1) -> "Vocab":
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        kept = sorted(t for t, c in counts.items() if c >= min_count and t != UNK)
-        ordered = [UNK] + kept
+    def build(cls, tokens) -> "Vocab":
+        ordered = [UNK] + sorted(set(tokens) - {UNK})
         if len(ordered) < 2:
             raise ValidationError("empty vocabulary")
         return cls(
@@ -97,10 +93,6 @@ class HistoryTable:
         self.rows = rows
         self._index = {tuple(r): i for i, r in enumerate(rows)}
         self._fallback = self._index[tuple([vocab.unk_id] * width)]
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
 
     def lookup(self, history: tuple[int, ...]) -> int:
         return self._index.get(tuple(history), self._fallback)
@@ -183,7 +175,9 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
         raise ValidationError("validation split contains only unknown tokens")
 
     table = HistoryTable(cfg.order, vocab, train_ids)
-    sf = LogBilinear(table.rows, vocab.size, cfg.dim, context_bias=cfg.context_bias)
+    sf = LogBilinear(table.rows, vocab.size, cfg.dim)
+    if cfg.context_bias:
+        sf = ContextBias(sf)
 
     x_idx, targets = table.positions(train_ids)
     valid_x, valid_targets = table.positions(valid_ids)
@@ -215,7 +209,6 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
         max_iters=cfg.max_iters,
         tol=cfg.tol,
         init="gaussian",  # zeros is a saddle for the bilinear form
-        init_sigma=0.1,
         seed=cfg.seed,
     )
 

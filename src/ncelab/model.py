@@ -1,8 +1,9 @@
 """Conditional models p(y|x) = exp(s(x,y;theta)) / Z(x;theta) over finite spaces.
 
 Scoring functions are closed enumerations (no plug-ins): a dense feature
-table, a per-label linear ("softmax regression") form, a per-context bias
-wrapper, and a log-bilinear n-gram form. The whole scorer contract is
+table, a per-label linear ("softmax regression") form, a log-bilinear
+n-gram form, and a per-context bias wrapper over any of them. The whole
+scorer contract is
 
 * ``score_table(theta)``        -- all scores as an (m_x, m_y) array,
 * ``accumulate_grad(theta, w)`` -- sum_{x,y} w[x,y] * grad s(x,y;theta),
@@ -169,17 +170,15 @@ class LogBilinear(ScoringFunction):
     ``order - 1`` positions). With context matrices C_i, input embeddings
     r, output embeddings q and output bias b,
 
-        s(x, y) = (sum_i C_i r[x_i]) . q_y + b_y [- c_x]
+        s(x, y) = (sum_i C_i r[x_i]) . q_y + b_y
 
-    The per-history bias c_x is optional; without it the model must absorb
-    the log-partition into the bilinear part to be self-normalized.
+    Without a per-history bias (``ContextBias`` adds one) the model must
+    absorb the log-partition into the bilinear part to be self-normalized.
 
-    Flat parameter layout: C (n_ctx*dim*dim), r (V*dim), q (V*dim),
-    b (V), then c (m_x) if enabled.
+    Flat parameter layout: C (n_ctx*dim*dim), r (V*dim), q (V*dim), b (V).
     """
 
-    def __init__(self, histories: np.ndarray, vocab_size: int, dim: int,
-                 context_bias: bool = False):
+    def __init__(self, histories: np.ndarray, vocab_size: int, dim: int):
         histories = np.ascontiguousarray(np.asarray(histories, dtype=np.int64))
         if histories.ndim != 2 or histories.shape[0] < 1 or histories.shape[1] < 1:
             raise ValidationError(
@@ -192,11 +191,7 @@ class LogBilinear(ScoringFunction):
         self.m_x, self.n_ctx = histories.shape
         self.m_y = vocab_size
         self.dim = dim
-        self.context_bias = context_bias
-        self.n_params = (
-            self.n_ctx * dim * dim + 2 * vocab_size * dim + vocab_size
-            + (self.m_x if context_bias else 0)
-        )
+        self.n_params = self.n_ctx * dim * dim + 2 * vocab_size * dim + vocab_size
 
     def unpack(self, theta: np.ndarray):
         theta = check_params(theta, self.n_params)
@@ -205,9 +200,8 @@ class LogBilinear(ScoringFunction):
         ctx_mats = theta[:n_c].reshape(self.n_ctx, dim, dim)
         r = theta[n_c : n_c + v * dim].reshape(v, dim)
         q = theta[n_c + v * dim : n_c + 2 * v * dim].reshape(v, dim)
-        b = theta[n_c + 2 * v * dim : n_c + 2 * v * dim + v]
-        c = theta[n_c + 2 * v * dim + v :] if self.context_bias else None
-        return ctx_mats, r, q, b, c
+        b = theta[n_c + 2 * v * dim :]
+        return ctx_mats, r, q, b
 
     def _context_reps(self, ctx_mats, r) -> np.ndarray:
         reps = np.zeros((self.m_x, self.dim))
@@ -216,14 +210,11 @@ class LogBilinear(ScoringFunction):
         return reps
 
     def score_table(self, theta: np.ndarray) -> np.ndarray:
-        ctx_mats, r, q, b, c = self.unpack(theta)
-        table = self._context_reps(ctx_mats, r) @ q.T + b[None, :]
-        if c is not None:
-            table = table - c[:, None]
-        return table
+        ctx_mats, r, q, b = self.unpack(theta)
+        return self._context_reps(ctx_mats, r) @ q.T + b[None, :]
 
     def accumulate_grad(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        ctx_mats, r, q, b, c = self.unpack(theta)
+        ctx_mats, r, q, b = self.unpack(theta)
         reps = self._context_reps(ctx_mats, r)
         d_q = weights.T @ reps
         d_b = weights.sum(axis=0)
@@ -234,10 +225,7 @@ class LogBilinear(ScoringFunction):
             r_i = r[self.histories[:, i]]
             d_ctx[i] = d_reps.T @ r_i
             np.add.at(d_r, self.histories[:, i], d_reps @ ctx_mats[i])
-        parts = [d_ctx.ravel(), d_r.ravel(), d_q.ravel(), d_b]
-        if c is not None:
-            parts.append(-weights.sum(axis=1))
-        return np.concatenate(parts)
+        return np.concatenate([d_ctx.ravel(), d_r.ravel(), d_q.ravel(), d_b])
 
 
 def log_cond_prob_table(sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
@@ -341,16 +329,16 @@ class ConditionalProblem:
             out["variant"] = None
             out["d"] = 0
             return out
-        variant, inner = _variant_tag(sf)
-        out["variant"] = variant
-        if isinstance(inner, LinearFeatures):
-            out["features"] = inner.features.ravel().tolist()
-            out["d"] = inner.features.shape[2]
-        elif isinstance(inner, LinearSoftmax):
-            out["features"] = inner.inputs.ravel().tolist()
-            out["d"] = inner.dim
+        if isinstance(sf, LinearFeatures):
+            out["variant"] = "linear-features"
+            out["features"] = sf.features.ravel().tolist()
+            out["d"] = sf.features.shape[2]
+        elif isinstance(sf, LinearSoftmax):
+            out["variant"] = "linear-softmax"
+            out["features"] = sf.inputs.ravel().tolist()
+            out["d"] = sf.dim
         else:
-            raise ValidationError(f"cannot serialize scoring variant {type(inner).__name__}")
+            raise ValidationError(f"cannot serialize scoring variant {type(sf).__name__}")
         if self.theta_star is not None:
             out["theta_star"] = self.theta_star.tolist()
         if self.gamma_star is not None:
@@ -380,14 +368,13 @@ class ConditionalProblem:
             if "features" not in obj:
                 raise ValidationError("problem json: variant given without 'features'")
             feats = _json_field(obj, "features", _json_floats)
-            base = str(variant).removeprefix("context-bias:")
-            if base == "linear-features":
+            if variant == "linear-features":
                 if feats.size != m_x * m_y * d:
                     raise ValidationError(
                         f"features: expected {m_x * m_y * d} entries, got {feats.size}"
                     )
                 scoring = LinearFeatures(feats.reshape(m_x, m_y, d))
-            elif base == "linear-softmax":
+            elif variant == "linear-softmax":
                 if feats.size != m_x * d:
                     raise ValidationError(
                         f"features: expected {m_x * d} entries, got {feats.size}"
@@ -395,8 +382,6 @@ class ConditionalProblem:
                 scoring = LinearSoftmax(feats.reshape(m_x, d), m_y)
             else:
                 raise ValidationError(f"problem json: unknown variant '{variant}'")
-            if variant.startswith("context-bias:"):
-                scoring = ContextBias(scoring)
         theta_star = gamma_star = None
         if obj.get("theta_star") is not None:
             theta_star = _json_field(obj, "theta_star", _json_floats)
@@ -437,21 +422,6 @@ def _json_field(obj: dict, name: str, convert):
         return convert(obj[name])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"problem json: bad field '{name}' ({exc})") from exc
-
-
-def _variant_tag(sf: ScoringFunction) -> tuple[str, ScoringFunction]:
-    if isinstance(sf, ContextBias):
-        inner_tag, inner = _variant_tag(sf.inner)
-        if inner_tag.startswith("context-bias:"):
-            raise ValidationError("nested context-bias wrappers are not serializable")
-        return f"context-bias:{inner_tag}", inner
-    if isinstance(sf, LinearFeatures):
-        return "linear-features", sf
-    if isinstance(sf, LinearSoftmax):
-        return "linear-softmax", sf
-    if isinstance(sf, LogBilinear):
-        return "log-bilinear", sf
-    raise ValidationError(f"unknown scoring variant {type(sf).__name__}")
 
 
 def problem_from_scores(

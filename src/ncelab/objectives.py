@@ -329,6 +329,16 @@ def count_vectors(log_pn: np.ndarray, k: int, block: int = _COUNT_BLOCK):
         yield counts, log_fact[k] - log_fact[counts].sum(axis=1) + counts @ log_pn
 
 
+def sample_count_vectors(rng: np.random.Generator, noise: NoiseDistribution, k: int, size: int):
+    """Yield (counts, log_weight) blocks of ``size`` count vectors of K i.i.d.
+    noise labels drawn from the multinomial, each at weight 1/size, with at
+    most as many rows per block as a ``count_vectors`` block."""
+    rows = max(1, _COUNT_BLOCK // noise.size)
+    for start in range(0, size, rows):
+        counts = rng.multinomial(k, noise.probs, size=min(rows, size - start))
+        yield counts, np.full(len(counts), -math.log(size))
+
+
 def ranking_count_terms(problem: ConditionalProblem, shat: np.ndarray, blocks):
     """Yield the ranking sum's terms, one (context, block) at a time.
 

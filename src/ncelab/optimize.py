@@ -41,6 +41,7 @@ _INITIAL_STEP = 1.0
 _MIN_STEP = 1e-18
 _ARMIJO = 1e-4
 _GAMMA_RANGE = (-30.0, 30.0)
+_INIT_SIGMA = 0.1  # standard deviation of the "gaussian" initial point
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class FitConfig:
     max_iters: int = 5000
     tol: float = 1e-7
     init: str = "zeros"
-    init_sigma: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -169,7 +169,7 @@ def _initial_params(sf, cfg):
         params = np.zeros(dim)
     else:
         rng = derive_rng(cfg.seed, 5)
-        params = cfg.init_sigma * rng.standard_normal(dim)
+        params = _INIT_SIGMA * rng.standard_normal(dim)
     return _clamp_gamma(params, cfg)
 
 

@@ -310,9 +310,7 @@ def _gaussian_mixture(rng: np.random.Generator, shape) -> np.ndarray:
     return means + rng.standard_normal(shape)
 
 
-def make_synthetic_problem(
-    d: int, m_x: int, m_y: int, seed: int, theta_scale: float = 1.0
-) -> ConditionalProblem:
+def make_synthetic_problem(d: int, m_x: int, m_y: int, seed: int) -> ConditionalProblem:
     """Per-label linear model with mixture-of-Gaussians inputs and weights.
 
     p_X is uniform; p_{Y|X} is the softmax of inputs @ theta_y. The
@@ -323,7 +321,7 @@ def make_synthetic_problem(
         raise ValidationError(f"bad synthetic sizes d={d}, m_x={m_x}, m_y={m_y}")
     rng = derive_rng(seed, 0)
     inputs = _gaussian_mixture(rng, (m_x, d))
-    weights = theta_scale * _gaussian_mixture(rng, (m_y, d))
+    weights = _gaussian_mixture(rng, (m_y, d))
     return problem_from_scores(
         LinearSoftmax(inputs, m_y), weights.ravel(), p_x=np.full(m_x, 1.0 / m_x)
     )
@@ -415,13 +413,11 @@ def load_dataset_jsonl(path: str) -> Dataset:
             xs.append(x)
             ys.append(y)
             negs.append(neg)
-    k = provenance.get("k", len(negs[0]) if negs else 1)
-    negatives = (
-        np.asarray(negs, dtype=np.int64) if negs else np.empty((0, k), dtype=np.int64)
-    )
+    if not negs:
+        raise ValidationError("dataset jsonl: no records after the header line")
     return Dataset(
         x=np.asarray(xs, dtype=np.int64),
         y=np.asarray(ys, dtype=np.int64),
-        negatives=negatives,
+        negatives=np.asarray(negs, dtype=np.int64),
         provenance=provenance,
     )

@@ -341,6 +341,8 @@ MALFORMED_INPUTS = {
     "list-provenance": lambda tmp: _dataset_file(
         tmp, [{"x": 0, "y": 1, "neg": [0, 1]}], provenance=[1]
     ),
+    "header-only-string-k": lambda tmp: _dataset_file(tmp, [], provenance={"k": "x"}),
+    "header-only-negative-k": lambda tmp: _dataset_file(tmp, [], provenance={"k": -1}),
     "non-integer-m_x": lambda tmp: _problem_with(tmp, m_x="x"),
     "non-string-variant": lambda tmp: _problem_with(tmp, variant=3),
     "fit-negative-n": lambda tmp: ["fit", "--problem", tmp / "problem.json", "--n", -5],

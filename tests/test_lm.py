@@ -26,11 +26,6 @@ class TestVocab:
         assert ids[1] == vocab.unk_id
         assert ids[0] != ids[2]
 
-    def test_min_count_filters(self):
-        vocab = Vocab.build(["a"] * 5 + ["rare"], min_count=2)
-        assert "rare" not in vocab.index
-        assert vocab.encode(["rare"])[0] == vocab.unk_id
-
     def test_tokenize_lowercases(self):
         assert tokenize("The Cat  sat\n on THE mat") == [
             "the", "cat", "sat", "on", "the", "mat",
@@ -41,7 +36,7 @@ class TestHistoryTable:
     def test_bigram_covers_whole_vocabulary(self):
         vocab = Vocab.build(["a", "b", "c"])
         table = HistoryTable(2, vocab, vocab.encode(["a", "b"]))
-        assert table.size == vocab.size
+        assert table.rows.shape == (vocab.size, 1)
         for w in range(vocab.size):
             assert table.lookup((w,)) == w
 
@@ -140,6 +135,19 @@ class TestExperiment:
         sf = LogBilinear(table.rows, vocab.size, 8)
         valid = table.positions(vocab.encode(tokens[split:]))
         assert corpus_perplexity(sf, rep.fit.theta, *valid) == rep.valid_ppl
+
+    def test_context_bias_appends_one_bias_per_history(self):
+        rep = run_lm_experiment(
+            SMALL_TEXT,
+            LmConfig(loss="ranking", k=8, dim=8, max_iters=30, seed=1, context_bias=True),
+        )
+        tokens = SMALL_TEXT.split()
+        train = tokens[: int(round(len(tokens) * 0.9))]
+        vocab = Vocab.build(train)
+        table = HistoryTable(2, vocab, vocab.encode(train))
+        inner = LogBilinear(table.rows, vocab.size, 8)
+        assert rep.fit.theta.size == inner.n_params + inner.m_x
+        assert np.isfinite(rep.train_ppl) and np.isfinite(rep.valid_ppl)
 
     def test_binary_loss_runs(self):
         rep = run_lm_experiment(

@@ -75,7 +75,7 @@ LINEAR_TABULAR = [
 ]
 EVERY_SCORER = LINEAR_TABULAR + [
     lambda rng: LogBilinear(rng.integers(0, 4, (3, 1)), 4, 2),
-    lambda rng: LogBilinear(rng.integers(0, 4, (3, 2)), 4, 2, context_bias=True),
+    lambda rng: ContextBias(LogBilinear(rng.integers(0, 4, (3, 2)), 4, 2)),
 ]
 
 
@@ -100,7 +100,9 @@ class TestScoreGrad:
         # accumulate_grad with one-hot weights is the gradient of one cell
         rng = np.random.default_rng(7)
         histories = rng.integers(0, 5, size=(4, 2))
-        sf = LogBilinear(histories, vocab_size=5, dim=3, context_bias=context_bias)
+        sf = LogBilinear(histories, vocab_size=5, dim=3)
+        if context_bias:
+            sf = ContextBias(sf)
         theta = 0.3 * rng.standard_normal(sf.n_params)
         for x, y in [(0, 1), (3, 4), (2, 0)]:
             fd = finite_difference_grad(lambda t: sf.score_table(t)[x, y], theta)

@@ -744,10 +744,11 @@ class TestGatheredExp:
         assert not np.isfinite(regularizer_from_draws(sf, theta, ds.x, draws, noise, 0.7)[0])
 
     def test_overflowing_scores_stop_a_ranking_fit_at_the_initial_point(self):
-        sf = LinearFeatures(np.array([[[1e308], [-1e308]]]))
+        # infinite features put +-inf scores in the table at any nonzero theta
+        sf = LinearFeatures(np.array([[[np.inf], [-np.inf]]]))
         ds = Dataset(x=[0], y=[1], negatives=[[0]], provenance={})
         noise = NoiseDistribution.uniform(2)
-        cfg = FitConfig(objective="ranking", init="gaussian", seed=1, init_sigma=10.0)
+        cfg = FitConfig(objective="ranking", init="gaussian", seed=1)
         with pytest.raises(InitializationError):
             fit(sf, ds, noise, cfg)
 

@@ -112,10 +112,6 @@ class TestSyntheticProblem:
         assert p.scoring.inputs.shape == (200, 4)
         np.testing.assert_allclose(p.p_x, 1 / 200, atol=1e-15)
 
-    def test_zero_scale_weights_give_uniform_rows(self):
-        p = make_synthetic_problem(d=3, m_x=5, m_y=2, seed=1, theta_scale=0.0)
-        np.testing.assert_allclose(p.p_y_given_x, 0.5, atol=1e-15)
-
     def test_deterministic_in_seed(self):
         a = make_synthetic_problem(d=2, m_x=4, m_y=3, seed=7)
         b = make_synthetic_problem(d=2, m_x=4, m_y=3, seed=7)
