@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SingularMatrixError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params
@@ -296,7 +295,8 @@ def binary_asymptotic_cov(
             f"sum_y exp(s - gamma*) deviates from 1 by {worst:.3e}"
         )
     stilde = table - noise.log_probs[None, :] - gamma_star - np.log(k)
-    sig = expit(stilde)
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-stilde))
     grads = sf.grad_table(theta_star)
     d = sf.n_params
     ext = np.concatenate([grads, -np.ones((sf.m_x, sf.m_y, 1))], axis=2)

@@ -28,7 +28,7 @@ from .asymptotics import (
     replicate,
 )
 from .errors import BudgetError, NumericError, ValidationError
-from .evaluation import evaluate
+from .evaluation import d_metric, evaluate
 from .lm import LmConfig, run_lm_experiment
 from .manifest import RunManifest, Stopwatch, write_csv
 from .model import ConditionalProblem, ContextBias, cond_prob_table
@@ -79,10 +79,8 @@ def _parse_mode(text: str) -> tuple[str, int | None]:
 
 
 def _manifest(args: argparse.Namespace, command: str) -> RunManifest:
-    recorded = {
-        k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
-    }
-    return RunManifest(command=command, arguments=recorded, seed=int(getattr(args, "seed", 0)))
+    recorded = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    return RunManifest(command=command, arguments=recorded)
 
 
 def _out_base(path: str) -> str:
@@ -203,8 +201,6 @@ def cmd_counterexample(args) -> int:
         problem = counterexample_problem()
         noise = NoiseDistribution.uniform(2)
         sf = problem.scoring
-        from .evaluation import d_metric as d_metric_fn
-
         for k in COUNTEREXAMPLE_KS:
             binary = fit(
                 sf, problem, noise,
@@ -221,8 +217,8 @@ def cmd_counterexample(args) -> int:
             cond_r = cond_prob_table(sf, ranking.theta)[0]
             ratio_b = cond_b[0] / cond_b[1]
             ratio_r = cond_r[0] / cond_r[1]
-            d_b = d_metric_fn(problem, sf, binary.theta)
-            d_r = d_metric_fn(problem, sf, ranking.theta)
+            d_b = d_metric(problem, sf, binary.theta)
+            d_r = d_metric(problem, sf, ranking.theta)
             rows.append(("binary", k, ratio_b, d_b))
             rows.append(("ranking", k, ratio_r, d_r))
             if abs(ratio_b - 3.0 / 7.0) > 1e-4:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .model import ContextBias, LogBilinear, log_cond_prob_table
+from .model import ContextBias, LogBilinear, log_cond_prob_table, log_softmax_rows
 from .objectives import RegularizerConfig, regularizer
 from .optimize import EstimationReport, FitConfig, fit
 from .sampling import (
@@ -214,30 +213,30 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
 
     eval_rows: list[tuple[int, float, float]] = []
 
-    def ppl_pair(theta: np.ndarray) -> tuple[float, float]:
+    def ppl_pair(log_q: np.ndarray) -> tuple[float, float]:
         return (
-            corpus_perplexity(sf, theta, x_idx, targets),
-            corpus_perplexity(sf, theta, valid_x, valid_targets),
+            corpus_perplexity(log_q, x_idx, targets),
+            corpus_perplexity(log_q, valid_x, valid_targets),
         )
 
     def on_iteration(iteration: int, params: np.ndarray) -> None:
         if iteration % _EVAL_EVERY == 0:
             theta = params[:-1] if cfg.loss == "binary" else params
-            eval_rows.append((iteration, *ppl_pair(theta)))
+            eval_rows.append((iteration, *ppl_pair(log_cond_prob_table(sf, theta))))
 
     report = fit(sf, dataset, noise, fit_cfg, callback=on_iteration)
     theta = report.theta
-    train_ppl, valid_ppl = ppl_pair(theta)
+    lse, log_q = log_softmax_rows(sf.score_table(theta))
+    train_ppl, valid_ppl = ppl_pair(log_q)
     if not eval_rows or eval_rows[-1][0] != report.iterations:
         eval_rows.append((report.iterations, train_ppl, valid_ppl))
 
     # partition-function spread over the held-out context sample
-    log_z = logsumexp(sf.score_table(theta), axis=1)[valid_x]
+    log_z = lse[valid_x]
     reg_sampled = reg_target = None
     if reg is not None:
         reg_sampled = regularizer(sf, theta, dataset, noise, reg)[0]
-        train_log_z = logsumexp(sf.score_table(theta), axis=1)[x_idx]
-        reg_target = float(reg.alpha * np.mean(train_log_z**2))
+        reg_target = float(reg.alpha * np.mean(lse[x_idx] ** 2))
     return LmReport(
         vocab_size=vocab.size,
         n_train=int(x_idx.size),
@@ -253,8 +252,7 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
     )
 
 
-def corpus_perplexity(sf, theta, x: np.ndarray, targets: np.ndarray) -> float:
-    """Vectorized exp(-mean log p) over the n-gram positions of a token-id
-    stream, as ``HistoryTable.positions`` encodes them."""
-    log_q = log_cond_prob_table(sf, theta)
+def corpus_perplexity(log_q: np.ndarray, x: np.ndarray, targets: np.ndarray) -> float:
+    """exp(-mean log p) over a token-id stream's n-gram positions, as
+    ``HistoryTable.positions`` encodes them, given ``log_cond_prob_table``."""
     return float(np.exp(-np.mean(log_q[x, targets])))

@@ -1,9 +1,9 @@
 """Run manifests: every CLI command records what ran and on which bytes.
 
-The manifest digest covers the command, arguments, seed, and input file
-hashes (not the outputs, which would be circular since CSV outputs embed
-the digest). Re-running a command with the manifest's arguments must
-reproduce the output files byte-exactly.
+The manifest digest covers the command, its arguments (seed included) and
+the input file hashes (not the outputs, which would be circular since CSV
+outputs embed the digest). Re-running a command with the manifest's
+arguments must reproduce the output files byte-exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ def file_sha256(path: str) -> str:
 class RunManifest:
     command: str
     arguments: dict
-    seed: int
     input_hashes: dict = field(default_factory=dict)
     output_paths: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
@@ -43,7 +42,6 @@ class RunManifest:
         payload = {
             "command": self.command,
             "arguments": self.arguments,
-            "seed": self.seed,
             "inputs": self.input_hashes,
             "version": self.artifact_version,
         }
@@ -55,7 +53,6 @@ class RunManifest:
         return {
             "command": self.command,
             "arguments": self.arguments,
-            "seed": self.seed,
             "input_hashes": self.input_hashes,
             "output_paths": self.output_paths,
             "wall_clock_seconds": self.wall_clock_seconds,

@@ -13,8 +13,8 @@ linear tabular scorers (LinearFeatures, LinearSoftmax and ContextBias over
 either) also give ``grad_table(theta)``, the (m_x, m_y, n_params) tensor of
 per-cell gradients in closed form, which the asymptotic covariances need;
 LogBilinear, sized for language models, does not. Conditionals always go
-through the max-shifted log-sum-exp; naive exponentiation overflows for
-scores around 700.
+through the max-shifted log-sum-exp of ``log_softmax_rows``; naive
+exponentiation overflows for scores around 700.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax, logsumexp
 
 from .errors import ValidationError
 
@@ -228,10 +227,27 @@ class LogBilinear(ScoringFunction):
         return np.concatenate([d_ctx.ravel(), d_r.ravel(), d_q.ravel(), d_b])
 
 
+def log_softmax_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp and log-softmax of a 2-D array: (lse, log_p).
+
+    Each row is shifted by its own maximum, so it stays exact however far it
+    sits from 0; lse splits the maxima off and takes log1p of the rest. Both
+    round exactly like scipy's logsumexp and log_softmax along axis 1."""
+    a_max = table.max(axis=1, keepdims=True)
+    shifted = table - a_max
+    e = np.exp(shifted)
+    log_sum = np.log(e.sum(axis=1, keepdims=True))
+    is_max = shifted == 0.0
+    m = is_max.sum(axis=1, keepdims=True)
+    e[is_max] = 0.0
+    lse = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + a_max
+    return lse[:, 0], shifted - log_sum
+
+
 def log_cond_prob_table(sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
     """log p(y|x;theta) for every pair, shape (m_x, m_y)."""
     theta = check_params(theta, sf.n_params)
-    return log_softmax(sf.score_table(theta), axis=1)
+    return log_softmax_rows(sf.score_table(theta))[1]
 
 
 def cond_prob_table(sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
@@ -295,9 +311,9 @@ class ConditionalProblem:
                 raise ValidationError("scoring function shape does not match p_y_given_x")
             if self.gamma_star is not None:
                 table = self.scoring.score_table(self.theta_star)
-                norms = np.exp(logsumexp(table - self.gamma_star, axis=1))
+                norms = np.exp(log_softmax_rows(table - self.gamma_star)[0])
                 worst = float(np.max(np.abs(norms - 1.0)))
-                if worst > SELF_NORM_TOL:
+                if not worst <= SELF_NORM_TOL:  # a NaN score fails too
                     raise ValidationError(
                         f"gamma_star: sum_y exp(s - gamma) deviates from 1 by {worst:.3e}"
                     )

@@ -26,7 +26,7 @@ Conventions:
   one context row, which ranking keys and regularizer draws do. Rows whose
   first candidate underflows there (more than ~708 below its context's
   maximum) or that meet a non-finite score are redone per row by
-  ``_lse_and_softmax``, so a non-finite score still gives a non-finite value.
+  ``model.log_softmax_rows``, so a non-finite score still gives a non-finite value.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -42,10 +42,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit, log_softmax
 
 from .errors import BudgetError, ValidationError
-from .model import ConditionalProblem, ScoringFunction, check_params
+from .model import ConditionalProblem, ScoringFunction, check_params, log_softmax_rows
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
 TERM_BUDGET = 10**7
@@ -112,26 +111,6 @@ def _scatter_grad(
     return sf.accumulate_grad(theta, flat.reshape(sf.m_x, sf.m_y))
 
 
-def _lse_and_softmax(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sum-exp and softmax weights of a (rows, candidates) gather.
-
-    Serves only the rows ``_gathered_exp`` cannot: each row is shifted by
-    its own maximum, so it stays exact however far the candidates sit below
-    the rest of their context. Rounds exactly like scipy's logsumexp (the
-    row maxima split off, log1p of the rest) and exp(log_softmax).
-    """
-    a_max = cand.max(axis=1, keepdims=True)
-    shifted = cand - a_max
-    e = np.exp(shifted)
-    log_sum = np.log(e.sum(axis=1, keepdims=True))
-    is_max = shifted == 0.0
-    m = is_max.sum(axis=1, keepdims=True)
-    e[is_max] = 0.0
-    lse = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + a_max
-    shifted -= log_sum
-    return lse[:, 0], np.exp(shifted, out=shifted)
-
-
 def _gathered_exp(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row log-sum-exp of the gather ``table.ravel()[index]``, with its softmax unnormalized.
 
@@ -147,7 +126,7 @@ def _gathered_exp(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.
     context maximum. A row whose first value is below the smallest normal
     float (that candidate more than ~708 below its context's maximum; every
     row whose s underflows is one) or whose lse is not finite is redone by
-    ``_lse_and_softmax`` and returned with that softmax as e and s = 1.
+    ``log_softmax_rows`` and returned with that softmax as e and s = 1.
     """
     top = table.max(axis=1)
     e = np.take(np.exp(table - top[:, None]), index)
@@ -156,7 +135,8 @@ def _gathered_exp(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.
         lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
     redo = ~((e[:, 0] >= _TINY) & np.isfinite(lse))
     if redo.any():
-        lse[redo], e[redo] = _lse_and_softmax(table.ravel()[index[redo]])
+        lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]])
+        e[redo] = np.exp(log_p)
         s[redo] = 1.0
     return lse, e, s
 
@@ -199,8 +179,10 @@ def _binary_value_grad(
     """sum_{x,y} w_pos log g + w_neg log(1 - g) and its gradient in (theta, gamma)."""
     theta = check_params(bp.theta, sf.n_params)
     stilde = _shifted_table(sf, theta, noise) - bp.gamma - np.log(k)
-    value = float((w_pos * log_expit(stilde)).sum() + (w_neg * log_expit(-stilde)).sum())
-    sig = expit(stilde)
+    log_g, log_1mg = -np.logaddexp(0.0, -stilde), -np.logaddexp(0.0, stilde)
+    value = float((w_pos * log_g).sum() + (w_neg * log_1mg).sum())
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-stilde))
     weights = w_pos * (1.0 - sig) - w_neg * sig
     return value, np.concatenate([sf.accumulate_grad(theta, weights), [-float(weights.sum())]])
 
@@ -222,7 +204,7 @@ def mle_value_grad(
     """Mean log softmax probability of the observed labels (negatives ignored), and its gradient."""
     counts = dataset.tables(sf.m_x, sf.m_y).positives
     theta = check_params(theta, sf.n_params)
-    log_p = log_softmax(sf.score_table(theta), axis=1)
+    log_p = log_softmax_rows(sf.score_table(theta))[1]
     weights = counts - counts.sum(axis=1)[:, None] * np.exp(log_p)
     value = float(np.mean(log_p[dataset.x, dataset.y]))
     return value, sf.accumulate_grad(theta, weights) / dataset.n
@@ -277,7 +259,7 @@ def posteriors(
     if labels.ndim != 1 or labels.size < 2:
         raise ValidationError("labels: expected a tuple of >= 2 candidate labels")
     shat = _shifted_table(sf, theta, noise)
-    q = np.exp(log_softmax(shat[x, labels]))
+    q = np.exp(log_softmax_rows(shat[x, labels][None, :])[1][0])
     ratios = problem.p_y_given_x[x, labels] / noise.probs[labels]
     beta = ratios / ratios.sum()
     noise_prod = float(np.prod(noise.probs[labels]))
@@ -314,7 +296,7 @@ def count_vectors(log_pn: np.ndarray, k: int, block: int = _COUNT_BLOCK):
     """
     m_y = log_pn.size
     rows = max(1, block // m_y)
-    log_fact = gammaln(np.arange(k + 1) + 1.0)
+    log_fact = np.array([math.log(math.factorial(c)) for c in range(k + 1)])
     tuples = itertools.combinations_with_replacement(range(m_y), k)
     while True:
         flat = np.fromiter(

@@ -15,10 +15,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .model import ConditionalProblem, LinearFeatures, LinearSoftmax, problem_from_scores
+from .model import (
+    ConditionalProblem,
+    LinearFeatures,
+    LinearSoftmax,
+    log_softmax_rows,
+    problem_from_scores,
+)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -354,7 +359,7 @@ def make_self_normalized_problem(m_x: int, m_y: int, d: int, seed: int) -> Condi
     vectors = rng.standard_normal((m_y, d))
     theta_star = rng.standard_normal(d)
     theta_star /= np.linalg.norm(theta_star)
-    gamma = float(logsumexp(vectors @ theta_star))
+    gamma = float(log_softmax_rows((vectors @ theta_star)[None, :])[0][0])
     vectors = vectors - (gamma / float(theta_star @ theta_star)) * theta_star[None, :]
     perms = np.empty((m_x, m_y), dtype=np.int64)
     seen = set()
@@ -415,6 +420,12 @@ def load_dataset_jsonl(path: str) -> Dataset:
             negs.append(neg)
     if not negs:
         raise ValidationError("dataset jsonl: no records after the header line")
+    # the provenance feeds the dataset digest, so it must describe these records
+    for name, actual in (("k", len(negs[0])), ("n", len(negs))):
+        if provenance.get(name, actual) != actual:
+            raise ValidationError(
+                f"dataset jsonl: header {name}={provenance[name]!r}, but the records give {actual}"
+            )
     return Dataset(
         x=np.asarray(xs, dtype=np.int64),
         y=np.asarray(ys, dtype=np.int64),

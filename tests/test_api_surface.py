@@ -1,7 +1,11 @@
 """Every name the package exports, and every public function, class and
-method it defines, has a caller in the package or the acceptance gate."""
+method it defines, has a caller in the package or the acceptance gate;
+and numpy is the only third-party package the command imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +71,18 @@ def test_every_public_definition_has_a_caller():
         if name not in used
     ]
     assert unused == []
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this process has scipy loaded as the tests' reference
+    probe = (
+        "import sys, ncelab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -139,6 +139,12 @@ class TestCounterexample:
             else:
                 assert ratio == pytest.approx(1 / 3, abs=1e-4)
 
+    def test_manifest_records_no_seed(self, tmp_path):
+        # the command takes no seed, so neither the manifest nor its arguments name one
+        assert run(["counterexample", "--out", tmp_path / "ce.csv"]) == 0
+        manifest = json.loads((tmp_path / "ce.manifest.json").read_text())
+        assert "seed" not in manifest and "seed" not in manifest["arguments"]
+
 
 @pytest.fixture()
 def self_normalized_file(tmp_path):
@@ -343,6 +349,15 @@ MALFORMED_INPUTS = {
     ),
     "header-only-string-k": lambda tmp: _dataset_file(tmp, [], provenance={"k": "x"}),
     "header-only-negative-k": lambda tmp: _dataset_file(tmp, [], provenance={"k": -1}),
+    # a header k or n that the records contradict would enter the data digest
+    "header-k-disagrees": lambda tmp: _dataset_file(
+        tmp, [{"x": 0, "y": 1, "neg": [0, 1]}, {"x": 1, "y": 0, "neg": [2, 2]}],
+        provenance={"k": 5, "n": 2},
+    ),
+    "header-n-disagrees": lambda tmp: _dataset_file(
+        tmp, [{"x": 0, "y": 1, "neg": [0, 1]}, {"x": 1, "y": 0, "neg": [2, 2]}],
+        provenance={"k": 2, "n": 9},
+    ),
     "non-integer-m_x": lambda tmp: _problem_with(tmp, m_x="x"),
     "non-string-variant": lambda tmp: _problem_with(tmp, variant=3),
     "fit-negative-n": lambda tmp: ["fit", "--problem", tmp / "problem.json", "--n", -5],

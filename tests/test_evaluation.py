@@ -12,6 +12,7 @@ from ncelab import (
     d_metric,
     evaluate,
     kl_divergence,
+    log_cond_prob_table,
     random_tabular_problem,
 )
 from ncelab.lm import HistoryTable, Vocab, corpus_perplexity
@@ -125,7 +126,9 @@ class TestPerplexity:
         sf = LinearFeatures(np.zeros((vocab, vocab, 1)))
         rng = np.random.default_rng(10)
         tokens = rng.integers(0, vocab, 300)
-        got = corpus_perplexity(sf, np.zeros(1), *bigram_history_table(vocab).positions(tokens))
+        got = corpus_perplexity(
+            log_cond_prob_table(sf, np.zeros(1)), *bigram_history_table(vocab).positions(tokens)
+        )
         assert got == pytest.approx(50.0, rel=1e-12)
 
     def test_deterministic_text_peaked_model(self):
@@ -146,22 +149,22 @@ class TestPerplexity:
         scores = np.where(mle_probs > 0, gap, 0.0)
         sf, theta = bigram_table_model([0, 1], scores)
         table = bigram_history_table(2)
-        got = corpus_perplexity(sf, theta, *table.positions(tokens))
+        got = corpus_perplexity(log_cond_prob_table(sf, theta), *table.positions(tokens))
         assert got == pytest.approx(1.0, abs=1e-6)
         # monotone: a weaker gap gives a strictly larger perplexity
-        weaker = corpus_perplexity(sf, theta / 2, *table.positions(tokens))
+        weaker = corpus_perplexity(log_cond_prob_table(sf, theta / 2), *table.positions(tokens))
         assert weaker > got
 
     def test_empty_stream_rejected(self):
-        sf = LinearFeatures(np.zeros((2, 2, 1)))
         with pytest.raises(ValidationError):
-            corpus_perplexity(sf, np.zeros(1), *bigram_history_table(2).positions(np.array([0])))
+            bigram_history_table(2).positions(np.array([0]))
 
     def test_perplexity_at_least_one(self):
         prob = random_tabular_problem(3, 3, 2, seed=11)
         rng = np.random.default_rng(12)
         tokens = rng.integers(0, 3, 100)
         got = corpus_perplexity(
-            prob.scoring, prob.theta_star, *bigram_history_table(3).positions(tokens)
+            log_cond_prob_table(prob.scoring, prob.theta_star),
+            *bigram_history_table(3).positions(tokens),
         )
         assert got >= 1.0

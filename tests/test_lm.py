@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncelab import ValidationError
-from ncelab.model import LogBilinear
+from ncelab.model import LogBilinear, log_cond_prob_table
 from ncelab.cli import bundled_corpus_path
 from ncelab.lm import (
     HistoryTable,
@@ -134,7 +134,7 @@ class TestExperiment:
         table = HistoryTable(2, vocab, vocab.encode(tokens[:split]))
         sf = LogBilinear(table.rows, vocab.size, 8)
         valid = table.positions(vocab.encode(tokens[split:]))
-        assert corpus_perplexity(sf, rep.fit.theta, *valid) == rep.valid_ppl
+        assert corpus_perplexity(log_cond_prob_table(sf, rep.fit.theta), *valid) == rep.valid_ppl
 
     def test_context_bias_appends_one_bias_per_history(self):
         rep = run_lm_experiment(

@@ -262,6 +262,12 @@ class TestConditionalProblem:
         with pytest.raises(ValidationError, match="gamma_star"):
             problem_from_scores(sf, theta, np.full(3, 1 / 3), gamma_star=0.0)
 
+    def test_nan_gamma_star_is_rejected(self):
+        # a NaN deviation compares false against the tolerance; it must still fail
+        p = counterexample_problem()
+        with pytest.raises(ValidationError, match="gamma_star"):
+            ConditionalProblem(p.p_x, p.p_y_given_x, p.scoring, p.theta_star, float("nan"))
+
     def test_json_round_trip(self, tmp_path):
         p = counterexample_problem()
         path = tmp_path / "problem.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit, log_expit, log_softmax, logsumexp
+from scipy.special import expit, gammaln, log_expit, log_softmax, logsumexp
 
 from ncelab import (
     BinaryParams,
@@ -37,9 +37,10 @@ from ncelab import (
     regularizer,
 )
 from ncelab import objectives
+from ncelab.model import log_softmax_rows
 from ncelab.objectives import (
+    _binary_value_grad,
     _gathered_exp,
-    _lse_and_softmax,
     _scatter_grad,
     _shifted_table,
     binary_value_grad,
@@ -533,7 +534,10 @@ def ref_population_binary(sf, bp, problem, noise, k):
     stilde = sf.score_table(bp.theta) - noise.log_probs[None, :] - bp.gamma - np.log(k)
     pos = problem.p_xy * log_expit(stilde)
     neg = k * problem.p_x[:, None] * noise.probs[None, :] * log_expit(-stilde)
-    sig = expit(stilde)
+    # the kernel's own sigmoid, so the gradient pin stays bit-for-bit; scipy's
+    # expit rounds up to 4 ulp apart (TestScipyReplacements)
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-stilde))
     weights = problem.p_xy * (1.0 - sig) - k * problem.p_x[:, None] * noise.probs[None, :] * sig
     grad = np.concatenate([sf.accumulate_grad(bp.theta, weights), [-float(weights.sum())]])
     return float(pos.sum() + neg.sum()), grad
@@ -662,6 +666,8 @@ class TestValueGradMatchesReference:
 
 
 class TestLseAndSoftmax:
+    """``model.log_softmax_rows``, bit for bit against scipy."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 2**31 - 1),
@@ -674,9 +680,48 @@ class TestLseAndSoftmax:
         cand = scale * np.random.default_rng(seed).standard_normal((rows, cols))
         if ties:
             cand = np.round(cand)
-        lse, q = _lse_and_softmax(cand)
+        lse, log_p = log_softmax_rows(cand)
         np.testing.assert_array_equal(lse, logsumexp(cand, axis=1))
-        np.testing.assert_array_equal(q, np.exp(log_softmax(cand, axis=1)))
+        np.testing.assert_array_equal(log_p, log_softmax(cand, axis=1))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 700.0])
+    def test_one_row_view_of_a_vector(self, scale):
+        # the self-normalized problem's gamma and the posteriors' q pass a
+        # vector as a 1-row view where scipy took the vector itself
+        v = scale * np.random.default_rng(9).standard_normal(37)
+        lse, log_p = log_softmax_rows(v[None, :])
+        assert lse.shape == (1,) and log_p.shape == (1, 37)
+        assert lse[0] == logsumexp(v)
+        np.testing.assert_array_equal(log_p[0], log_softmax(v))
+
+
+class TestScipyReplacements:
+    """The numpy forms that replaced scipy.special's sigmoids and log
+    factorials, checked through the code that uses them."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 700.0])
+    def test_binary_kernel_sigmoids(self, scale):
+        # one-hot features: theta is the score table and the gradient is the
+        # kernel's per-cell weight table, w_pos (1 - g) - w_neg g
+        m_x = 400
+        sf = LinearFeatures(np.eye(2 * m_x).reshape(m_x, 2, 2 * m_x))
+        theta = scale * np.random.default_rng(12).standard_normal(2 * m_x)
+        noise, k, bp = NoiseDistribution.uniform(2), 3, BinaryParams(theta, 0.25)
+        stilde = sf.score_table(theta) - noise.log_probs[None, :] - 0.25 - np.log(k)
+        ones, zeros = np.ones((m_x, 2)), np.zeros((m_x, 2))
+        value, _ = _binary_value_grad(sf, bp, noise, k, ones, zeros)
+        assert value == float(log_expit(stilde).sum())
+        value, grad = _binary_value_grad(sf, bp, noise, k, zeros, ones)
+        assert value == float(log_expit(-stilde).sum())
+        # numpy's exp is not libm's, and the quotient carries its error
+        np.testing.assert_array_max_ulp(-grad[:-1].reshape(m_x, 2), expit(stilde), maxulp=4)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_count_vector_log_factorials(self, k):
+        # a zero log p_N leaves log K! - sum_j log c_j! in the weights
+        for counts, log_weight in count_vectors(np.zeros(3), k):
+            ref = gammaln(k + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+            np.testing.assert_array_equal(log_weight, ref)
 
 
 class TestGatheredExp:
@@ -699,7 +744,7 @@ class TestGatheredExp:
             table = np.round(table)
         lse, e, row_sum = _gathered_exp(table, index)
         cand = table.ravel()[index]
-        ref_lse, ref_q = _lse_and_softmax(cand)
+        ref_lse, ref_q = logsumexp(cand, axis=1), np.exp(log_softmax(cand, axis=1))
         # relative to the row's largest magnitude: where the log-sum-exp
         # cancels to near 0, both sides keep ~1e-16 of their O(1) terms' rounding
         row_scale = np.maximum(np.abs(ref_lse), np.abs(cand).max(axis=1))
@@ -711,9 +756,9 @@ class TestGatheredExp:
 
         def counting(cand):
             calls.append(cand.shape[0])
-            return _lse_and_softmax(cand)
+            return log_softmax_rows(cand)
 
-        monkeypatch.setattr(objectives, "_lse_and_softmax", counting)
+        monkeypatch.setattr(objectives, "log_softmax_rows", counting)
         rng = np.random.default_rng(7)
         table = rng.standard_normal((3, 20))
         # contexts 0 and 2 peak at label 0; every other label sits about 740
@@ -728,9 +773,9 @@ class TestGatheredExp:
         lse, e, row_sum = _gathered_exp(table, index)
         assert calls == [int(far.sum())] and not far.all()
         assert (far & (labels[:, 3] == 0)).any() and (far & (labels[:, 3] != 0)).any()
-        ref_lse, ref_q = _lse_and_softmax(table.ravel()[index[far]])
-        np.testing.assert_array_equal(lse[far], ref_lse)
-        np.testing.assert_array_equal(e[far] / row_sum[far, None], ref_q)
+        cand = table.ravel()[index[far]]
+        np.testing.assert_array_equal(lse[far], logsumexp(cand, axis=1))
+        np.testing.assert_array_equal(e[far] / row_sum[far, None], np.exp(log_softmax(cand, axis=1)))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_scores_give_non_finite_values(self, bad):
