@@ -21,12 +21,16 @@ Conventions:
   only on the inputs, so results do not depend on the thread count.
 * The sampled softmaxes (ranking and the regularizer) exponentiate the
   shifted table once, each context row shifted by its maximum, and gather
-  the candidates from it (``_gathered_exp``): m_x * m_y exps per call
-  instead of one per candidate. This needs every candidate row to lie in
-  one context row, which ranking keys and regularizer draws do. Rows whose
-  first candidate underflows there (more than ~708 below its context's
-  maximum) or that meet a non-finite score are redone per row by
-  ``model.log_softmax_rows``, so a non-finite score still gives a non-finite value.
+  the candidates from it (``Workspace.gather``): m_x * m_y exps per call
+  instead of one per candidate. Rows that underflow there or meet a
+  non-finite score are redone per row, so a non-finite score still gives a
+  non-finite value.
+* A ``Workspace`` holds their buffers (gather, row sums, exp table).
+  ``optimize._make_value_grad`` builds one per fit, which dies with the fit,
+  and the public functions one per call, so no evaluation of a fit faults in
+  fresh pages for a new gather (2.5 MB for the LM at K=100). Its index is
+  bounds-checked once, so the gather runs ``np.take(..., out=e, mode="clip")``:
+  ``mode="raise"`` takes into a temporary copied to ``out``, and the faults return.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -111,34 +115,57 @@ def _scatter_grad(
     return sf.accumulate_grad(theta, flat.reshape(sf.m_x, sf.m_y))
 
 
-def _gathered_exp(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row log-sum-exp of the gather ``table.ravel()[index]``, with its softmax unnormalized.
+def _row_sum(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``e.sum(axis=1)`` into ``out``, bit for bit: below 8 columns numpy adds left to right."""
+    if e.shape[1] >= 8:
+        return np.sum(e, axis=1, out=out)
+    np.copyto(out, e[:, 0])
+    for column in e.T[1:]:
+        out += column
+    return out
 
-    Precondition: the cells of each row of ``index`` lie in one row of the
-    (m_x, m_y) ``table``, i.e. one context's candidates; ranking keys and
-    regularizer draws are built that way. The table is exponentiated once,
-    each row shifted by its maximum (m_x * m_y exps, not one per candidate),
-    and gathered. Returns (lse, e, s): e the gathered values and s their row
-    sums, so e / s[:, None] is the softmax.
 
-    lse is the first candidate's score plus log(s / e[:, 0]), so its
-    rounding scales with the candidates' own scores rather than with the
-    context maximum. A row whose first value is below the smallest normal
-    float (that candidate more than ~708 below its context's maximum; every
-    row whose s underflows is one) or whose lse is not finite is redone by
-    ``log_softmax_rows`` and returned with that softmax as e and s = 1.
-    """
-    top = table.max(axis=1)
-    e = np.take(np.exp(table - top[:, None]), index)
-    s = e.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
-    redo = ~((e[:, 0] >= _TINY) & np.isfinite(lse))
-    if redo.any():
-        lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]])
-        e[redo] = np.exp(log_p)
-        s[redo] = 1.0
-    return lse, e, s
+class Workspace:
+    """One fit's buffers for a sampled softmax over a fixed (rows, C) index of flat
+    cells x * m_y + label; the fit's workspaces share one (m_x, m_y) ``exp_table``."""
+
+    def __init__(self, index: np.ndarray, exp_table: np.ndarray) -> None:
+        if index.size and (index.min() < 0 or index.max() >= exp_table.size):
+            raise IndexError(f"candidate index out of bounds for a {exp_table.shape} score table")
+        self.index, self.exp_table = index, exp_table
+        self.e, self.s = np.empty(index.shape), np.empty(index.shape[0])
+
+    def shifted_scores(self, sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribution):
+        """The shifted table shat and exp(shat - its row maximum), the latter in ``exp_table``."""
+        shat = _shifted_table(sf, theta, noise)
+        np.subtract(shat, shat.max(axis=1)[:, None], out=self.exp_table)
+        return shat, np.exp(self.exp_table, out=self.exp_table)
+
+    def gather(self, table: np.ndarray, exp_table: np.ndarray):
+        """Row log-sum-exp of ``table.ravel()[index]``, with its softmax unnormalized.
+
+        Each index row holds one context's cells (ranking keys and regularizer
+        draws do); ``exp_table`` is ``table`` exponentiated once, each row shifted
+        by its maximum (``shifted_scores``). Returns (lse, e, s): e the gathered
+        values and s their row sums, this workspace's buffers; e / s[:, None] is
+        the softmax.
+
+        lse is the first candidate's score plus log(s / e[:, 0]), so its rounding
+        scales with the candidates' own scores, not the context maximum. A row whose
+        first value is below the smallest normal float (that candidate over ~708
+        below its context's maximum; every row whose s underflows is one) or whose
+        lse is not finite is redone by ``log_softmax_rows``, with e its softmax, s = 1.
+        """
+        index, e, s = self.index, self.e, self.s
+        _row_sum(np.take(exp_table, index, out=e, mode="clip"), s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
+        redo = ~((e[:, 0] >= _TINY) & np.isfinite(lse))
+        if redo.any():
+            lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]])
+            e[redo] = np.exp(log_p)
+            s[redo] = 1.0
+        return lse, e, s
 
 
 def _check_k(k: int) -> None:
@@ -151,21 +178,25 @@ def _check_k(k: int) -> None:
 
 
 def ranking_value_grad(
-    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
+    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution,
+    ws: Workspace | None = None, scores: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean log-probability of ranking the true label above its negatives, and its gradient.
 
     One pass over the dataset's distinct (x, y, sorted negatives) keys of
-    ``Dataset.ranking_keys``, each term weighted by the key's count.
+    ``Dataset.ranking_keys``, each term weighted by the key's count. ``ws``
+    (a Workspace over those keys) and ``scores`` (its ``shifted_scores`` of
+    theta) are built for this call when not given.
     """
-    index, counts = dataset.ranking_keys(sf.m_x, sf.m_y)
+    keys = dataset.ranking_keys(sf.m_x, sf.m_y)
+    ws = ws or Workspace(keys.index, np.empty((sf.m_x, sf.m_y)))
     theta = check_params(theta, sf.n_params)
-    shat = _shifted_table(sf, theta, noise)
-    lse, coeff, row_sum = _gathered_exp(shat, index)
-    coeff *= (-counts / row_sum)[:, None]
-    coeff[:, 0] += counts
-    value = float(np.sum(counts * (shat.ravel()[index[:, 0]] - lse)) / dataset.n)
-    return value, _scatter_grad(sf, theta, index, coeff) / dataset.n
+    shat, exp_table = scores or ws.shifted_scores(sf, theta, noise)
+    lse, coeff, row_sum = ws.gather(shat, exp_table)
+    coeff *= (-keys.counts / row_sum)[:, None]
+    coeff[:, 0] += keys.counts
+    value = float(np.sum(keys.counts * (shat.ravel()[ws.index[:, 0]] - lse)) / dataset.n)
+    return value, _scatter_grad(sf, theta, ws.index, coeff) / dataset.n
 
 
 def _binary_value_grad(
@@ -425,28 +456,27 @@ def population_binary_objective(
 
 
 def regularizer_from_draws(
-    sf: ScoringFunction,
-    theta: np.ndarray,
-    x_idx: np.ndarray,
-    draws: np.ndarray,
-    noise: NoiseDistribution,
-    alpha: float,
+    sf: ScoringFunction, theta: np.ndarray, x_idx: np.ndarray, draws: np.ndarray,
+    noise: NoiseDistribution, alpha: float,
+    ws: Workspace | None = None, scores: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Penalty (alpha/n) sum_i (log mean_j exp shat(x_i, ytilde_ij))^2 and its gradient.
 
     The inner mean estimates Z(x_i; theta); the penalty pushes log Z
-    toward 0, i.e. a constant (unit) partition function.
+    toward 0, i.e. a constant (unit) partition function. ``ws`` (over the cells
+    ``x_idx[:, None] * m_y + draws``) and ``scores`` are as in ``ranking_value_grad``.
     """
     theta = check_params(theta, sf.n_params)
     n = x_idx.size
     if alpha == 0.0 or n == 0:
         return 0.0, np.zeros(sf.n_params)
-    index = x_idx[:, None] * sf.m_y + draws
-    lse, coeff, row_sum = _gathered_exp(_shifted_table(sf, theta, noise), index)
+    ws = ws or Workspace(x_idx[:, None] * sf.m_y + draws, np.empty((sf.m_x, sf.m_y)))
+    shat, exp_table = scores or ws.shifted_scores(sf, theta, noise)
+    lse, coeff, row_sum = ws.gather(shat, exp_table)
     log_zhat = lse - np.log(draws.shape[1])
     value = float(alpha / n * np.sum(log_zhat**2))
     coeff *= ((2.0 * alpha / n) * log_zhat / row_sum)[:, None]
-    return value, _scatter_grad(sf, theta, index, coeff)
+    return value, _scatter_grad(sf, theta, ws.index, coeff)
 
 
 def regularizer_draws(

@@ -26,6 +26,7 @@ from .model import ConditionalProblem, ScoringFunction
 from .objectives import (
     BinaryParams,
     RegularizerConfig,
+    Workspace,
     binary_value_grad,
     mle_value_grad,
     population_binary_value_grad,
@@ -119,7 +120,7 @@ def _binary_tag(objective: str) -> bool:
 
 
 def _make_value_grad(sf, data, noise, cfg):
-    """Closure params -> (value, grad) for the configured objective."""
+    """Closure params -> (value, grad) for the configured objective, holding its workspaces."""
     is_population = cfg.objective.startswith("population-")
     if is_population and not isinstance(data, ConditionalProblem):
         raise ValidationError(f"objective '{cfg.objective}' needs a ConditionalProblem")
@@ -131,9 +132,14 @@ def _make_value_grad(sf, data, noise, cfg):
     def split(params):
         return BinaryParams(params[:-1], float(params[-1]))
 
+    exp_table, ws = np.empty((sf.m_x, sf.m_y)), None  # one exp table per fit
+    if cfg.objective == "ranking":
+        ws = Workspace(data.ranking_keys(sf.m_x, sf.m_y).index, exp_table)
     value_grad = {
         "mle": lambda params: mle_value_grad(sf, params, data),
-        "ranking": lambda params: ranking_value_grad(sf, params, data, noise),
+        "ranking": lambda params, scores=None: ranking_value_grad(
+            sf, params, data, noise, ws, scores
+        ),
         "binary": lambda params: binary_value_grad(sf, split(params), data, noise),
         "population-ranking": lambda params: population_ranking_value_grad(
             sf, params, data, noise, cfg.k
@@ -149,12 +155,15 @@ def _make_value_grad(sf, data, noise, cfg):
         base = value_grad
         has_gamma = _binary_tag(cfg.objective)
         draws = regularizer_draws(data, noise, cfg.reg)
+        reg_ws = Workspace(data.x[:, None] * sf.m_y + draws, exp_table)
 
         def value_grad(params):
-            value, grad = base(params)
             theta = params[:-1] if has_gamma else params
+            # one score table per evaluation, shared with the ranking loss
+            scores = reg_ws.shifted_scores(sf, theta, noise)
+            value, grad = base(params) if ws is None else base(params, scores)
             reg_value, reg_grad = regularizer_from_draws(
-                sf, theta, data.x, draws, noise, cfg.reg.alpha
+                sf, theta, data.x, draws, noise, cfg.reg.alpha, reg_ws, scores
             )
             if has_gamma:
                 reg_grad = np.concatenate([reg_grad, [0.0]])

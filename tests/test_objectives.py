@@ -39,8 +39,9 @@ from ncelab import (
 from ncelab import objectives
 from ncelab.model import log_softmax_rows
 from ncelab.objectives import (
+    Workspace,
     _binary_value_grad,
-    _gathered_exp,
+    _row_sum,
     _scatter_grad,
     _shifted_table,
     binary_value_grad,
@@ -93,6 +94,12 @@ def fd_grad(fn, theta, h=1e-5):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12)
+
+
+def gathered(table, index):
+    """The gather kernel through a workspace built for this one call."""
+    exp_table = np.exp(table - table.max(axis=1)[:, None])
+    return Workspace(index, np.empty(table.shape)).gather(table, exp_table)
 
 
 def small_setup(seed, m_x=2, m_y=3, d=4, n=6, k=2):
@@ -742,7 +749,7 @@ class TestGatheredExp:
         index = rng.integers(0, m_x, rows)[:, None] * m_y + rng.integers(0, m_y, (rows, cols))
         if ties:
             table = np.round(table)
-        lse, e, row_sum = _gathered_exp(table, index)
+        lse, e, row_sum = gathered(table, index)
         cand = table.ravel()[index]
         ref_lse, ref_q = logsumexp(cand, axis=1), np.exp(log_softmax(cand, axis=1))
         # relative to the row's largest magnitude: where the log-sum-exp
@@ -770,7 +777,7 @@ class TestGatheredExp:
         index = ctx[:, None] * 20 + labels
         # the first candidate underflows, whether or not a later one peaks
         far = (ctx != 1) & (labels[:, 0] != 0)
-        lse, e, row_sum = _gathered_exp(table, index)
+        lse, e, row_sum = gathered(table, index)
         assert calls == [int(far.sum())] and not far.all()
         assert (far & (labels[:, 3] == 0)).any() and (far & (labels[:, 3] != 0)).any()
         cand = table.ravel()[index[far]]
@@ -796,6 +803,74 @@ class TestGatheredExp:
         cfg = FitConfig(objective="ranking", init="gaussian", seed=1)
         with pytest.raises(InitializationError):
             fit(sf, ds, noise, cfg)
+
+
+def fresh_gather(table, index):
+    """The gather as one-shot numpy calls, every array allocated anew:
+    ``np.take`` of the exp table and ``sum(axis=1)``, then the same redo."""
+    e = np.take(np.exp(table - table.max(axis=1)[:, None]), index)
+    s = e.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
+    redo = ~((e[:, 0] >= np.finfo(np.float64).tiny) & np.isfinite(lse))
+    if redo.any():
+        lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]])
+        e[redo] = np.exp(log_p)
+        s[redo] = 1.0
+    return lse, e, s, redo
+
+
+class TestWorkspace:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 5),
+        st.integers(2, 30),
+        st.integers(1, 40),
+        st.integers(1, 12),
+    )
+    def test_reused_buffers_match_fresh_arrays_bit_for_bit(self, seed, m_x, m_y, rows, cols):
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, m_x, rows)[:, None] * m_y + rng.integers(0, m_y, (rows, cols))
+        # context 0 peaks ~740 above its other labels at label 0, so in the
+        # first call a row of context 0 led by another label takes the redo
+        first = rng.standard_normal((m_x, m_y))
+        first[0, 0] = 740.0
+        index[0] = rng.integers(1, m_y, cols)
+        second = 3.0 * rng.standard_normal((m_x, m_y))
+        ws = Workspace(index, np.empty((m_x, m_y)))
+        for call, table in enumerate((first, second)):
+            exp_table = np.exp(table - table.max(axis=1)[:, None], out=ws.exp_table)
+            got = ws.gather(table, exp_table)
+            assert got[1] is ws.e and got[2] is ws.s
+            *want, redo = fresh_gather(table, index)
+            assert redo[0] if call == 0 else not redo.any()
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("cell", [-1, 6])
+    def test_out_of_range_index_raises_when_built(self, cell):
+        with pytest.raises(IndexError, match="out of bounds"):
+            Workspace(np.array([[0, 1], [3, cell]]), np.empty((2, 3)))
+
+    def test_regularizer_rejects_out_of_range_draws(self):
+        problem, noise, ds, theta = small_setup(seed=45)
+        # label m_x * m_y puts every row's cell past the table's end
+        draws = np.full((ds.n, 2), problem.m_x * problem.m_y)
+        with pytest.raises(IndexError, match="out of bounds"):
+            regularizer_from_draws(problem.scoring, theta, ds.x, draws, noise, 0.7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 300))
+    def test_row_sums_match_numpy_bit_for_bit(self, seed, width, rows):
+        # column adds below 8 columns, numpy's own sum from 8 on
+        rng = np.random.default_rng(seed)
+        # same-sized values, where the order of the adds shows in the last bit
+        e = rng.random((rows, width))
+        e[rng.random((rows, width)) < 0.1] = 5e-324
+        e[rng.random((rows, width)) < 0.2] = 0.0
+        e[rng.random((rows, width)) < 0.02] = np.inf
+        np.testing.assert_array_equal(_row_sum(e, np.empty(rows)), e.sum(axis=1))
 
 
 class TestDatasetTables:
@@ -845,7 +920,7 @@ def unweighted_ranking(sf, theta, ds, noise):
     """The per-row kernel over the dataset's rows as drawn, with np.mean."""
     index = ds.tables(sf.m_x, sf.m_y).index
     shat = _shifted_table(sf, theta, noise)
-    lse, coeff, row_sum = _gathered_exp(shat, index)
+    lse, coeff, row_sum = gathered(shat, index)
     coeff *= (-1.0 / row_sum)[:, None]
     coeff[:, 0] += 1.0
     value = float(np.mean(shat.ravel()[index[:, 0]] - lse))

@@ -1,5 +1,8 @@
 """Fit loop behavior: recovery, determinism, restarts, failure modes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from ncelab import (
     InitializationError,
     LinearFeatures,
     NoiseDistribution,
+    RegularizerConfig,
     SamplingConfig,
     ValidationError,
     cond_prob_table,
@@ -17,7 +21,7 @@ from ncelab import (
     generate_dataset,
     random_tabular_problem,
 )
-from ncelab import optimize
+from ncelab import objectives, optimize
 
 
 class TestCounterexampleFits:
@@ -196,3 +200,33 @@ class TestGaugeNeutrality:
         assert np.max(np.abs(tables[0] - tables[1])) <= 1e-6
         assert np.max(np.abs(tables[0] - tables[2])) <= 1e-6
         assert not np.allclose(biases[0], biases[1], atol=1e-3)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "objective, alpha, builds",
+        [("ranking", 0.0, 1), ("ranking", 0.5, 2), ("mle", 0.5, 1), ("binary", 0.0, 0)],
+    )
+    def test_one_build_per_index_per_fit(self, monkeypatch, objective, alpha, builds):
+        built = []
+
+        class Spy(objectives.Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        # the kernels' own fallback builds count too
+        monkeypatch.setattr(optimize, "Workspace", Spy)
+        monkeypatch.setattr(objectives, "Workspace", Spy)
+        p = random_tabular_problem(3, 4, 3, seed=5)
+        noise = NoiseDistribution.uniform(4)
+        data = generate_dataset(p, 300, SamplingConfig(k=2, seed=6), noise)
+        cfg = FitConfig(
+            objective=objective, max_iters=20, init="gaussian", seed=9,
+            reg=RegularizerConfig(alpha=alpha, m=3, seed=1),
+        )
+        report = fit(p.scoring, data, noise, cfg)
+        assert report.n_evaluations > 20 and len(built) == builds
+        # nothing outlives the fit: no module- or Dataset-level cache
+        gc.collect()
+        assert all(ref() is None for ref in built)
