@@ -132,9 +132,9 @@ def _make_value_grad(sf, data, noise, cfg):
     def split(params):
         return BinaryParams(params[:-1], float(params[-1]))
 
-    exp_table, ws = np.empty((sf.m_x, sf.m_y)), None  # one exp table per fit
+    ws = None
     if cfg.objective == "ranking":
-        ws = Workspace(data.ranking_keys(sf.m_x, sf.m_y).index, exp_table)
+        ws = Workspace(data.ranking_keys(sf.m_x, sf.m_y).index, np.empty((sf.m_x, sf.m_y)))
     value_grad = {
         "mle": lambda params: mle_value_grad(sf, params, data),
         "ranking": lambda params, scores=None: ranking_value_grad(
@@ -155,6 +155,7 @@ def _make_value_grad(sf, data, noise, cfg):
         base = value_grad
         has_gamma = _binary_tag(cfg.objective)
         draws = regularizer_draws(data, noise, cfg.reg)
+        exp_table = np.empty((sf.m_x, sf.m_y)) if ws is None else ws.exp_table
         reg_ws = Workspace(data.x[:, None] * sf.m_y + draws, exp_table)
 
         def value_grad(params):
