@@ -29,9 +29,9 @@ from .sampling import (
     generate_dataset,
     make_self_normalized_problem,
     make_synthetic_problem,
+    noise_from_spec,
     random_tabular_problem,
     sample_negatives,
-    unigram_power,
 )
 from .objectives import (
     BinaryParams,
@@ -52,6 +52,7 @@ from .optimize import EstimationReport, FitConfig, fit
 from .asymptotics import (
     CovarianceReport,
     ReplicationSummary,
+    asymptotic_cov,
     binary_asymptotic_cov,
     fisher_information,
     ranking_asymptotic_cov,

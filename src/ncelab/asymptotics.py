@@ -45,9 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .model import ConditionalProblem, ScoringFunction, check_params
+from .model import ConditionalProblem, ScoringFunction, check_params, self_norm_deviation
 from .objectives import (
     _shifted_table,
+    binary_logit,
     check_term_budget,
     count_vectors,
     ranking_count_terms,
@@ -286,17 +287,13 @@ def binary_asymptotic_cov(
     if k < 1:
         raise ValidationError(f"K must be >= 1, got {k}")
     theta_star = check_params(theta_star, sf.n_params)
-    table = sf.score_table(theta_star)
-    norms = np.exp(table - gamma_star).sum(axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > SELF_NORM_PRECONDITION_TOL:
+    worst = self_norm_deviation(sf, theta_star, gamma_star)
+    if not worst <= SELF_NORM_PRECONDITION_TOL:
         raise ValidationError(
             f"binary covariance needs a self-normalized problem; "
             f"sum_y exp(s - gamma*) deviates from 1 by {worst:.3e}"
         )
-    stilde = table - noise.log_probs[None, :] - gamma_star - np.log(k)
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-stilde))
+    sig = binary_logit(sf, theta_star, noise, gamma_star, k)[1]
     grads = sf.grad_table(theta_star)
     d = sf.n_params
     ext = np.concatenate([grads, -np.ones((sf.m_x, sf.m_y, 1))], axis=2)
@@ -320,6 +317,37 @@ def binary_asymptotic_cov(
     return report
 
 
+def asymptotic_cov(
+    problem: ConditionalProblem,
+    estimator: str,
+    noise: NoiseDistribution | None,
+    k: int,
+    mode: str = "exact",
+    num_samples: int | None = None,
+    seed: int = 0,
+) -> CovarianceReport:
+    """Asymptotic covariance of one estimator at the problem's truth.
+
+    "mle" gives the Fisher bound (k, noise and the mode are unused),
+    "ranking" ``ranking_asymptotic_cov`` in the given mode and "binary"
+    ``binary_asymptotic_cov``, which needs the problem's gamma_star.
+    """
+    if problem.theta_star is None:
+        raise ValidationError("asymptotic covariance needs a problem with theta_star")
+    sf, theta_star = problem.scoring, problem.theta_star
+    if estimator == "mle":
+        information = fisher_information(problem, sf, theta_star)
+        inverse = invert_spd(information, "fisher information")
+        return CovarianceReport("mle", information, inverse, mode="exact")
+    if estimator == "ranking":
+        return ranking_asymptotic_cov(problem, sf, theta_star, noise, k, mode, num_samples, seed)
+    if estimator == "binary":
+        if problem.gamma_star is None:
+            raise ValidationError("binary covariance needs gamma_star (a self-normalized truth)")
+        return binary_asymptotic_cov(problem, sf, theta_star, problem.gamma_star, noise, k)
+    raise ValidationError(f"no asymptotic covariance for estimator '{estimator}'")
+
+
 def replicate(
     problem: ConditionalProblem,
     fit_cfg: FitConfig,
@@ -327,13 +355,12 @@ def replicate(
     k: int,
     n: int,
     replications: int,
-    seeds: int | list[int] = 0,
+    seeds: int = 0,
 ) -> ReplicationSummary:
     """Fit R independent datasets and compare the empirical covariance of
-    sqrt(n)(theta_hat - theta*) against the theoretical matrix.
+    sqrt(n)(theta_hat - theta*) against ``asymptotic_cov``.
 
-    ``seeds`` is either a master seed (per-replication seeds are derived)
-    or an explicit list of length R.
+    ``seeds`` is the master seed; the per-replication seeds derive from it.
     """
     if replications < 2:
         raise ValidationError(f"replications must be >= 2, got {replications}")
@@ -341,25 +368,15 @@ def replicate(
         raise ValidationError(f"n must be >= 0, got {n}")
     if n == 0:
         raise ValidationError("n must be >= 1 to fit a replication")
-    if problem.theta_star is None or problem.scoring is None:
-        raise ValidationError("replicate needs a problem with ground truth")
-    if isinstance(seeds, int):
-        seed_list = [int(derive_rng(seeds, 8, r).integers(2**63)) for r in range(replications)]
-    else:
-        seed_list = [int(s) for s in seeds]
-        if len(seed_list) != replications:
-            raise ValidationError(
-                f"got {len(seed_list)} seeds for {replications} replications"
-            )
-    sf = problem.scoring
-    theta_star = problem.theta_star
-    theoretical = _theoretical_cov(problem, sf, theta_star, noise, fit_cfg.objective, k)
+    theoretical = asymptotic_cov(problem, fit_cfg.objective, noise, k).inverse
+    sf, theta_star = problem.scoring, problem.theta_star
     # MLE ignores negatives but the dataset still carries a matrix of them
     data_noise = noise if noise is not None else NoiseDistribution.uniform(problem.m_y)
     devs = np.empty((replications, sf.n_params))
     grad_norms = np.empty(replications)
     converged = 0
-    for r, seed in enumerate(seed_list):
+    for r in range(replications):
+        seed = int(derive_rng(seeds, 8, r).integers(2**63))
         dataset = generate_dataset(problem, n, SamplingConfig(k=k, seed=seed), data_noise)
         try:
             report = fit(sf, dataset, noise, fit_cfg)
@@ -391,17 +408,3 @@ def replicate(
         max_iters_reached=replications - converged,
         max_grad_norm=float(grad_norms.max()),
     )
-
-
-def _theoretical_cov(problem, sf, theta_star, noise, estimator, k):
-    if estimator == "mle":
-        return invert_spd(fisher_information(problem, sf, theta_star), "fisher information")
-    if estimator == "ranking":
-        return ranking_asymptotic_cov(problem, sf, theta_star, noise, k).inverse
-    if estimator == "binary":
-        if problem.gamma_star is None:
-            raise ValidationError("binary replication needs gamma_star ground truth")
-        return binary_asymptotic_cov(
-            problem, sf, theta_star, problem.gamma_star, noise, k
-        ).inverse
-    raise ValidationError(f"no theoretical covariance for estimator '{estimator}'")

@@ -21,9 +21,8 @@ from .sampling import (
     Dataset,
     NoiseDistribution,
     SamplingConfig,
-    noise_power,
+    noise_from_spec,
     sample_negatives,
-    unigram_power,
 )
 
 UNK = "<unk>"
@@ -152,13 +151,6 @@ class LmReport:
         return out
 
 
-def make_noise(kind: str, counts: np.ndarray) -> NoiseDistribution:
-    power = noise_power(kind)
-    if power is None:
-        return NoiseDistribution.uniform(counts.size)
-    return unigram_power(counts, power)
-
-
 def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
     tokens = tokenize(text)
     if not tokens:
@@ -180,8 +172,10 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
 
     x_idx, targets = table.positions(train_ids)
     valid_x, valid_targets = table.positions(valid_ids)
-    counts = np.bincount(train_ids, minlength=vocab.size)
-    noise = make_noise(cfg.noise, counts)
+    counts = np.bincount(train_ids, minlength=vocab.size).astype(np.float64)
+    if np.any(counts == 0):
+        counts += 1.0  # add-one smoothing, so every word can be a negative
+    noise = noise_from_spec(cfg.noise, counts)
 
     scfg = SamplingConfig(k=cfg.k, seed=cfg.seed, stream=1)
     negatives = (
@@ -219,9 +213,8 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
             corpus_perplexity(log_q, valid_x, valid_targets),
         )
 
-    def on_iteration(iteration: int, params: np.ndarray) -> None:
+    def on_iteration(iteration: int, theta: np.ndarray) -> None:
         if iteration % _EVAL_EVERY == 0:
-            theta = params[:-1] if cfg.loss == "binary" else params
             eval_rows.append((iteration, *ppl_pair(log_cond_prob_table(sf, theta))))
 
     report = fit(sf, dataset, noise, fit_cfg, callback=on_iteration)

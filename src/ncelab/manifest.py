@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,16 +63,6 @@ class RunManifest:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
-
-
-class Stopwatch:
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._t0
-        return False
 
 
 def write_csv(path: str, header: list[str], rows, manifest_digest: str) -> None:

@@ -254,6 +254,12 @@ def cond_prob_table(sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
     return np.exp(log_cond_prob_table(sf, theta))
 
 
+def self_norm_deviation(sf: ScoringFunction, theta: np.ndarray, gamma: float) -> float:
+    """max_x |sum_y exp(s(x,y;theta) - gamma) - 1|: 0 when gamma normalizes every context."""
+    norms = np.exp(log_softmax_rows(sf.score_table(theta) - gamma)[0])
+    return float(np.max(np.abs(norms - 1.0)))
+
+
 def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
     p = _readonly(p)
     if p.ndim != 1:
@@ -310,9 +316,7 @@ class ConditionalProblem:
             if (self.scoring.m_x, self.scoring.m_y) != (self.m_x, self.m_y):
                 raise ValidationError("scoring function shape does not match p_y_given_x")
             if self.gamma_star is not None:
-                table = self.scoring.score_table(self.theta_star)
-                norms = np.exp(log_softmax_rows(table - self.gamma_star)[0])
-                worst = float(np.max(np.abs(norms - 1.0)))
+                worst = self_norm_deviation(self.scoring, self.theta_star, self.gamma_star)
                 if not worst <= SELF_NORM_TOL:  # a NaN score fails too
                     raise ValidationError(
                         f"gamma_star: sum_y exp(s - gamma) deviates from 1 by {worst:.3e}"
@@ -332,6 +336,11 @@ class ConditionalProblem:
     def p_xy(self) -> np.ndarray:
         """Joint table p_X(x) * p_{Y|X}(y|x), shape (m_x, m_y)."""
         return self.p_x[:, None] * self.p_y_given_x
+
+    @property
+    def p_y(self) -> np.ndarray:
+        """Label marginal p_X @ p_{Y|X}, shape (m_y,)."""
+        return self.p_x @ self.p_y_given_x
 
     def to_json_dict(self) -> dict:
         sf = self.scoring

@@ -199,6 +199,16 @@ def ranking_value_grad(
     return value, _scatter_grad(sf, theta, ws.index, coeff) / dataset.n
 
 
+def binary_logit(
+    sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribution, gamma: float, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The classifier's logit stilde = shat - gamma - log K over every cell, and
+    its positive-class probability g = sigmoid(stilde)."""
+    stilde = _shifted_table(sf, theta, noise) - gamma - np.log(k)
+    with np.errstate(over="ignore"):
+        return stilde, 1.0 / (1.0 + np.exp(-stilde))
+
+
 def _binary_value_grad(
     sf: ScoringFunction,
     bp: BinaryParams,
@@ -209,11 +219,9 @@ def _binary_value_grad(
 ) -> tuple[float, np.ndarray]:
     """sum_{x,y} w_pos log g + w_neg log(1 - g) and its gradient in (theta, gamma)."""
     theta = check_params(bp.theta, sf.n_params)
-    stilde = _shifted_table(sf, theta, noise) - bp.gamma - np.log(k)
+    stilde, sig = binary_logit(sf, theta, noise, bp.gamma, k)
     log_g, log_1mg = -np.logaddexp(0.0, -stilde), -np.logaddexp(0.0, stilde)
     value = float((w_pos * log_g).sum() + (w_neg * log_1mg).sum())
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-stilde))
     weights = w_pos * (1.0 - sig) - w_neg * sig
     return value, np.concatenate([sf.accumulate_grad(theta, weights), [-float(weights.sum())]])
 

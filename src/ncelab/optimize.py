@@ -128,6 +128,8 @@ def _make_value_grad(sf, data, noise, cfg):
         raise ValidationError(f"objective '{cfg.objective}' needs a Dataset")
     if cfg.objective in ("ranking", "binary") and noise is None:
         raise ValidationError(f"objective '{cfg.objective}' needs a noise distribution")
+    if not is_population:
+        data.tables(sf.m_x, sf.m_y)  # bounds-checks the data before any workspace is built
 
     def split(params):
         return BinaryParams(params[:-1], float(params[-1]))
@@ -200,9 +202,10 @@ def fit(
 
     ``data`` is a Dataset for the sampled objectives and a
     ConditionalProblem for the population ones. ``callback(iteration,
-    params)``, if given, runs after every accepted step (it must not
-    mutate params).
+    theta)``, if given, runs after every accepted step with the score
+    parameters, gamma left out (it must not mutate theta).
     """
+    has_gamma = _binary_tag(cfg.objective)
     value_grad = _make_value_grad(sf, data, noise, cfg)
     params = _initial_params(sf, cfg)
     value, grad = value_grad(params)
@@ -251,9 +254,9 @@ def fit(
         iterations = iteration
         trace_detail.append((iteration, value, grad_norm, accepted_step))
         if callback is not None:
-            callback(iteration, params)
+            callback(iteration, params[:-1] if has_gamma else params)
     converged = grad_norm <= cfg.tol
-    if _binary_tag(cfg.objective):
+    if has_gamma:
         theta, gamma = params[:-1].copy(), float(params[-1])
     else:
         theta, gamma = params.copy(), None

@@ -102,18 +102,14 @@ def noise_power(spec: str) -> float | None:
     return power
 
 
-def unigram_power(counts, power: float) -> NoiseDistribution:
-    """Noise masses proportional to count**power; zero counts get add-one."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 1:
-        raise ValidationError(f"counts: expected a vector, got shape {counts.shape}")
-    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise ValidationError("counts: entries must be nonnegative integers")
-    if not np.any(counts > 0):
-        raise ValidationError("counts: all zero, no distribution to build")
-    if np.any(counts == 0):
-        counts = counts + 1.0
-    weights = counts**power
+def noise_from_spec(spec: str, masses) -> NoiseDistribution:
+    """The noise a spec names over len(masses) labels: uniform, or the masses
+    raised to the spec's power and renormalized (see ``noise_power``)."""
+    power = noise_power(spec)
+    masses = np.asarray(masses, dtype=np.float64)
+    if power is None:
+        return NoiseDistribution.uniform(masses.size)
+    weights = masses**power
     return NoiseDistribution(weights / weights.sum())
 
 
@@ -286,7 +282,11 @@ def generate_dataset(
     cum_rows = np.cumsum(problem.p_y_given_x, axis=1)
     cum_rows[:, -1] = 1.0
     u = rng_y.random(n)
-    y = (u[:, None] >= cum_rows[x]).sum(axis=1).astype(np.int64)
+    # inverse CDF per context: no (n, m_y) temporaries
+    y = np.empty(n, dtype=np.int64)
+    for ctx in range(problem.m_x):
+        rows = np.flatnonzero(x == ctx)
+        y[rows] = np.searchsorted(cum_rows[ctx], u[rows], side="right")
     negatives = sample_negatives(cfg, noise, n)
     return Dataset(x=x, y=y, negatives=negatives, provenance=provenance)
 

@@ -9,11 +9,13 @@ from scipy.special import expit, log_expit, log_softmax
 
 from ncelab import (
     BinaryParams,
+    ConditionalProblem,
     CovarianceReport,
     FitConfig,
     LinearFeatures,
     NoiseDistribution,
     ValidationError,
+    asymptotic_cov,
     binary_asymptotic_cov,
     fisher_information,
     make_self_normalized_problem,
@@ -416,20 +418,47 @@ class TestInformationOrdering:
             assert np.trace(rep.inverse) >= fisher_trace - 1e-8
 
 
+class TestAsymptoticCov:
+    def test_dispatches_each_estimator(self):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(4)
+        mle = asymptotic_cov(prob, "mle", noise, 3)
+        assert (mle.estimator, mle.mode) == ("mle", "exact")
+        np.testing.assert_array_equal(mle.information, fisher_information(prob, sf, ts))
+        np.testing.assert_array_equal(
+            mle.inverse, asymptotics.invert_spd(mle.information, "fisher information")
+        )
+        ranking = asymptotic_cov(prob, "ranking", noise, 3, "mc", 640, seed=5)
+        expected = ranking_asymptotic_cov(prob, sf, ts, noise, 3, "mc", 640, seed=5)
+        np.testing.assert_array_equal(ranking.inverse, expected.inverse)
+        binary = asymptotic_cov(prob, "binary", noise, 3)
+        expected = binary_asymptotic_cov(prob, sf, ts, 0.0, noise, 3)
+        np.testing.assert_array_equal(binary.inverse, expected.inverse)
+
+    def test_rejects_missing_truth_and_unknown_estimators(self):
+        noise = NoiseDistribution.uniform(4)
+        softmax = random_tabular_problem(3, 4, 2, seed=21)
+        with pytest.raises(ValidationError, match="needs gamma_star"):
+            asymptotic_cov(softmax, "binary", noise, 2)
+        with pytest.raises(ValidationError, match="no asymptotic covariance"):
+            asymptotic_cov(softmax, "population-ranking", noise, 2)
+        bare = ConditionalProblem(softmax.p_x, softmax.p_y_given_x)
+        for estimator in ("mle", "ranking", "binary"):
+            with pytest.raises(ValidationError, match="needs a problem with theta_star"):
+                asymptotic_cov(bare, estimator, noise, 2)
+
+
 class TestReplicate:
-    def test_identical_seeds_zero_covariance(self):
+    def test_same_master_seed_same_summary(self):
         prob = random_tabular_problem(3, 4, 2, seed=21)
         noise = NoiseDistribution.uniform(4)
-        summary = replicate(
-            prob,
-            FitConfig(objective="mle"),
-            noise,
-            k=1,
-            n=500,
-            replications=2,
-            seeds=[123, 123],
-        )
-        np.testing.assert_allclose(summary.empirical_cov, 0.0, atol=1e-20)
+        summaries = [
+            replicate(prob, FitConfig(objective="mle"), noise, k=1, n=500,
+                      replications=3, seeds=123).to_json_dict()
+            for _ in range(2)
+        ]
+        assert summaries[0] == summaries[1]
 
     def test_mle_replication_smoke(self):
         prob = random_tabular_problem(3, 4, 2, seed=23)

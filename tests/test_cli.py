@@ -6,6 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from ncelab import (
+    ConditionalProblem,
+    FitConfig,
+    NoiseDistribution,
+    RegularizerConfig,
+    SamplingConfig,
+    binary_asymptotic_cov,
+    fit,
+    generate_dataset,
+)
 from ncelab.cli import main
 
 
@@ -99,6 +109,25 @@ class TestFit:
         a = json.loads(out1.read_text())
         b = json.loads(out2.read_text())
         assert a["theta"] == b["theta"]
+
+    def test_reg_alpha_matches_the_library_fit(self, problem_file, tmp_path):
+        out = tmp_path / "fit.json"
+        assert run([
+            "fit", "--problem", problem_file, "--estimator", "ranking", "--K", 2,
+            "--n", 300, "--seed", 4, "--reg-alpha", 0.3, "--reg-m", 3,
+            "--max-iters", 60, "--out", out,
+        ]) == 0
+        problem = ConditionalProblem.load(problem_file)
+        noise = NoiseDistribution.uniform(problem.m_y)
+        data = generate_dataset(problem, 300, SamplingConfig(k=2, seed=4), noise)
+        reports = [
+            fit(problem.scoring, data, noise, FitConfig(
+                objective="ranking", k=2, reg=reg, max_iters=60, seed=4,
+            ))
+            for reg in (RegularizerConfig(alpha=0.3, m=3, seed=4, stream=3), None)
+        ]
+        theta = json.loads(out.read_text())["theta"]
+        assert theta == reports[0].theta.tolist() != reports[1].theta.tolist()
 
     def test_unknown_noise_exits_2(self, problem_file, tmp_path):
         assert run([
@@ -275,6 +304,22 @@ class TestReplicate:
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
 
 
+    def test_binary_on_a_self_normalized_problem(self, self_normalized_file, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run([
+            "replicate", "--problem", self_normalized_file, "--estimator", "binary",
+            "--K", 4, "--n", 500, "--replications", 3, "--seed", 1, "--out", out,
+        ]) == 0
+        summary = json.loads(out.read_text())
+        problem = ConditionalProblem.load(self_normalized_file)
+        expected = binary_asymptotic_cov(
+            problem, problem.scoring, problem.theta_star, problem.gamma_star,
+            NoiseDistribution.uniform(problem.m_y), 4,
+        )
+        assert summary["theoretical"] == expected.inverse.tolist()
+        assert summary["converged"] == 3
+
+
 class TestLm:
     def test_help_lists_no_minibatch_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -371,6 +416,10 @@ MALFORMED_INPUTS = {
         "fit", "--problem", tmp / "problem.json", "--noise", "unigram-pow:-1",
     ],
     "lm-negative-noise-power": lambda tmp: ["lm", "--noise", "unigram-pow:-1"],
+    # the bounds check runs before the regularizer's workspace is built
+    "fit-dataset-x-out-of-range-reg": lambda tmp: _dataset_file(
+        tmp, [{"x": 6, "y": 1, "neg": [0, 1]}]
+    ) + ["--estimator", "mle", "--reg-alpha", 0.3],
 }
 
 

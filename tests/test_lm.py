@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncelab import ValidationError
+from ncelab import ValidationError, lm, noise_from_spec
 from ncelab.model import LogBilinear, log_cond_prob_table
 from ncelab.cli import bundled_corpus_path
 from ncelab.lm import (
@@ -11,7 +11,6 @@ from ncelab.lm import (
     LmConfig,
     Vocab,
     corpus_perplexity,
-    make_noise,
     ngram_positions,
     run_lm_experiment,
     tokenize,
@@ -71,13 +70,32 @@ class TestHistoryTable:
 
 class TestNoise:
     def test_kinds(self):
-        counts = np.array([8, 1, 1])
-        assert make_noise("uniform", counts).probs[0] == pytest.approx(1 / 3)
-        assert make_noise("unigram", counts).probs[0] == pytest.approx(0.8)
-        powed = make_noise("unigram-pow:0.75", counts)
+        counts = np.array([8.0, 1.0, 1.0])
+        assert noise_from_spec("uniform", counts).probs[0] == pytest.approx(1 / 3)
+        assert noise_from_spec("unigram", counts).probs[0] == pytest.approx(0.8)
+        powed = noise_from_spec("unigram-pow:0.75", counts)
         assert powed.probs[0] == pytest.approx(4.7568 / (4.7568 + 2), abs=1e-4)
         with pytest.raises(ValidationError):
-            make_noise("zipf", counts)
+            noise_from_spec("zipf", counts)
+
+    def test_zero_counts_smoothed(self, monkeypatch):
+        # <unk> never occurs in the training split, so its count is 0 and
+        # every count gets add-one before the power
+        built = []
+
+        def spy(spec, masses):
+            built.append(noise_from_spec(spec, masses))
+            return built[-1]
+
+        monkeypatch.setattr(lm, "noise_from_spec", spy)
+        text = "a b a c a b " * 20
+        run_lm_experiment(text, LmConfig(loss="ranking", k=2, dim=2, max_iters=1))
+        tokens = tokenize(text)
+        train = tokens[: int(round(len(tokens) * (1.0 - lm._VALID_FRACTION)))]
+        vocab = Vocab.build(train)
+        counts = np.bincount(vocab.encode(train), minlength=vocab.size)
+        assert counts[vocab.unk_id] == 0
+        np.testing.assert_array_equal(built[0].probs, (counts + 1.0) / (counts + 1.0).sum())
 
 
 SMALL_TEXT = (

@@ -8,6 +8,7 @@ import pytest
 
 from ncelab import (
     ContextBias,
+    Dataset,
     FitConfig,
     InitializationError,
     LinearFeatures,
@@ -230,3 +231,50 @@ class TestWorkspace:
         # nothing outlives the fit: no module- or Dataset-level cache
         gc.collect()
         assert all(ref() is None for ref in built)
+
+
+class TestDatasetObjectives:
+    @pytest.mark.parametrize("objective", ["ranking", "binary", "mle"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_out_of_range_x_is_a_validation_error(self, objective, alpha):
+        # the bounds check runs before the regularizer's workspace is built
+        p = random_tabular_problem(3, 4, 2, seed=5)
+        data = Dataset(x=[0, 3], y=[1, 2], negatives=[[0, 1], [2, 3]], provenance={})
+        cfg = FitConfig(objective=objective, k=2, reg=RegularizerConfig(alpha=alpha, m=2))
+        with pytest.raises(ValidationError, match="x index out of range"):
+            fit(p.scoring, data, NoiseDistribution.uniform(4), cfg)
+
+    def test_regularized_binary_gradient_matches_central_differences(self):
+        p = random_tabular_problem(3, 4, 2, seed=11)
+        noise = NoiseDistribution.uniform(4)
+        data = generate_dataset(p, 300, SamplingConfig(k=2, seed=3), noise)
+        reg = RegularizerConfig(alpha=0.5, m=3, seed=2)
+        value_grad = optimize._make_value_grad(
+            p.scoring, data, noise, FitConfig(objective="binary", k=2, reg=reg)
+        )
+        params = np.array([0.3, -0.2, 0.4])
+        value, grad = value_grad(params)
+        h = 1e-6
+        numeric = [
+            (value_grad(params + h * e)[0] - value_grad(params - h * e)[0]) / (2 * h)
+            for e in np.eye(3)
+        ]
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+        # the penalty does not depend on gamma
+        plain = optimize._make_value_grad(
+            p.scoring, data, noise, FitConfig(objective="binary", k=2)
+        )(params)[1]
+        assert grad[-1] == plain[-1]
+        assert not np.allclose(grad[:-1], plain[:-1])
+
+    def test_callback_sees_theta_without_gamma(self):
+        p = random_tabular_problem(3, 4, 2, seed=5)
+        noise = NoiseDistribution.uniform(4)
+        data = generate_dataset(p, 200, SamplingConfig(k=2, seed=6), noise)
+        seen = []
+        report = fit(
+            p.scoring, data, noise, FitConfig(objective="binary", k=2, max_iters=5),
+            callback=lambda iteration, theta: seen.append(theta.copy()),
+        )
+        assert [t.shape for t in seen] == [(2,)] * 5
+        np.testing.assert_array_equal(seen[-1], report.theta)

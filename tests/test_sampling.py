@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ncelab import (
+    ConditionalProblem,
     NoiseDistribution,
     SamplingConfig,
     ValidationError,
     counterexample_problem,
+    derive_rng,
     generate_dataset,
     make_self_normalized_problem,
     make_synthetic_problem,
+    noise_from_spec,
     sample_negatives,
-    unigram_power,
 )
 from ncelab.sampling import load_dataset_jsonl, noise_power, save_dataset_jsonl
 
@@ -46,24 +50,25 @@ class TestNoiseDistribution:
             NoiseDistribution(np.array([0.5, 0.5001]))
 
     def test_unigram_power_simple_ratio(self):
-        nd = unigram_power([3, 1], power=1.0)
+        nd = noise_from_spec("unigram", [3.0, 1.0])
         np.testing.assert_allclose(nd.probs, [0.75, 0.25], atol=1e-15)
 
     def test_unigram_power_zero_is_uniform(self):
-        nd = unigram_power([17, 5, 2, 900], power=0.0)
+        nd = noise_from_spec("unigram-pow:0", [17.0, 5.0, 2.0, 900.0])
         np.testing.assert_allclose(nd.probs, 0.25, atol=1e-15)
 
     def test_unigram_three_quarters(self):
-        nd = unigram_power([8, 1], power=0.75)
+        nd = noise_from_spec("unigram-pow:0.75", [8.0, 1.0])
         np.testing.assert_allclose(nd.probs, [0.8263, 0.1737], atol=1e-4)
 
-    def test_zero_counts_smoothed(self):
-        nd = unigram_power([0, 5], power=1.0)
-        np.testing.assert_allclose(nd.probs, [1 / 7, 6 / 7], atol=1e-15)
+    def test_uniform_spec_ignores_the_masses(self):
+        nd = noise_from_spec("uniform", [0.9, 0.05, 0.05])
+        np.testing.assert_array_equal(nd.probs, NoiseDistribution.uniform(3).probs)
 
-    def test_all_zero_counts_rejected(self):
-        with pytest.raises(ValidationError):
-            unigram_power([0, 0, 0], power=0.5)
+    def test_unigram_of_a_problem_is_its_label_marginal(self):
+        prob = make_synthetic_problem(2, 5, 3, seed=4)
+        nd = noise_from_spec("unigram", prob.p_y)
+        np.testing.assert_allclose(nd.probs, prob.p_xy.sum(axis=0), rtol=1e-13)
 
 
 class TestSampleNegatives:
@@ -155,6 +160,26 @@ class TestGenerateDataset:
                 freq = np.mean((ds.x == x) & (ds.y == y))
                 sigma = np.sqrt(target * (1 - target) / n)
                 assert abs(freq - target) <= 3 * sigma
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m_x=st.integers(1, 6), m_y=st.integers(2, 7), seed=st.integers(0, 2**31),
+        tiny=st.booleans(),
+    )
+    def test_labels_match_the_mask_count_reference(self, m_x, m_y, seed, tiny):
+        # y is the number of cumulative masses of its context at or below u
+        rng = np.random.default_rng(seed)
+        rows = rng.random((m_x, m_y)) + 0.01
+        if tiny:
+            rows[:, rng.integers(m_y)] = 1e-300
+        p = ConditionalProblem(
+            p_x=np.full(m_x, 1.0 / m_x), p_y_given_x=rows / rows.sum(axis=1, keepdims=True)
+        )
+        ds = generate_dataset(p, 400, SamplingConfig(k=1, seed=seed), NoiseDistribution.uniform(m_y))
+        cum = np.cumsum(p.p_y_given_x, axis=1)
+        cum[:, -1] = 1.0
+        u = derive_rng(seed, 0, 1).random(400)
+        np.testing.assert_array_equal(ds.y, (u[:, None] >= cum[ds.x]).sum(axis=1))
 
     def test_deterministic(self):
         p = counterexample_problem()
