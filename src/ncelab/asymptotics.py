@@ -22,8 +22,10 @@ m_x * C(m_y+K-1, K). Exact mode verifies the collapse numerically (the
 directly summed score variance must match within 1e-8) before trusting
 it, and records the gap on the report. Monte Carlo mode draws M count
 vectors from the multinomial, at weight 1/M each, and still sums x and
-u exactly, so only the negatives are sampled; its standard errors are
-batch means over MC_BATCHES batches.
+u exactly, so only the negatives are sampled; repeated draws within a
+block are folded into one row at weight repeats/M, so the sum runs over
+the distinct vectors drawn. Its standard errors are batch means over
+MC_BATCHES batches.
 
 For the binary objective (which requires a self-normalized truth) the
 factors differ and the full sandwich is kept:
@@ -47,6 +49,7 @@ import numpy as np
 from .errors import SingularMatrixError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params, self_norm_deviation
 from .objectives import (
+    _check_k,
     _shifted_table,
     binary_logit,
     check_term_budget,
@@ -178,13 +181,13 @@ def ranking_asymptotic_cov(
     docstring). Exact mode takes all C(m_y+K-1, K) of them at their
     multinomial probabilities, within the budget of m_x * C(m_y+K-1, K)
     terms, and records the sandwich-collapse gap on the report. Monte
-    Carlo mode draws num_samples count vectors from the multinomial, each
-    summed over all m_x * m_y (context, positive) pairs, in MC_BATCHES
-    batches, and attaches the batch-means standard errors of the
+    Carlo mode draws num_samples count vectors from the multinomial in
+    MC_BATCHES batches, folds the repeats of each block
+    (``sample_count_vectors``), sums each distinct vector over all
+    m_x * m_y (context, positive) pairs, and attaches the batch-means standard errors of the
     information.
     """
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
+    _check_k(k)
     theta_star = check_params(theta_star, sf.n_params)
     shat = _shifted_table(sf, theta_star, noise)
     grads = sf.grad_table(theta_star)
@@ -284,8 +287,7 @@ def binary_asymptotic_cov(
     Requires a self-normalized truth: sum_y exp(s(x,y;theta*) - gamma*)
     must equal 1 for every x within 1e-8.
     """
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
+    _check_k(k)
     theta_star = check_params(theta_star, sf.n_params)
     worst = self_norm_deviation(sf, theta_star, gamma_star)
     if not worst <= SELF_NORM_PRECONDITION_TOL:
@@ -328,12 +330,19 @@ def asymptotic_cov(
 ) -> CovarianceReport:
     """Asymptotic covariance of one estimator at the problem's truth.
 
-    "mle" gives the Fisher bound (k, noise and the mode are unused),
-    "ranking" ``ranking_asymptotic_cov`` in the given mode and "binary"
-    ``binary_asymptotic_cov``, which needs the problem's gamma_star.
+    "mle" gives the Fisher bound (k and noise are unused), "ranking"
+    ``ranking_asymptotic_cov`` in the given mode and "binary"
+    ``binary_asymptotic_cov``, which needs the problem's gamma_star. K must
+    be >= 1 for every estimator, and only "ranking" has a mode other than
+    "exact".
     """
+    _check_k(k)
     if problem.theta_star is None:
         raise ValidationError("asymptotic covariance needs a problem with theta_star")
+    if estimator in ("mle", "binary") and mode != "exact":
+        raise ValidationError(
+            f"{estimator} covariance is exact only; mode '{mode}' is for ranking"
+        )
     sf, theta_star = problem.scoring, problem.theta_star
     if estimator == "mle":
         information = fisher_information(problem, sf, theta_star)

@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("mle", "ranking", "binary"), default="ranking")
     p.add_argument("--K", default="1,2,4", help="comma-separated K grid")
     p.add_argument("--noise", default="uniform")
-    p.add_argument("--mode", default="exact", help="exact | mc:<M>")
+    p.add_argument("--mode", default="exact", help="exact | mc:<M> (ranking only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_asymptotics)

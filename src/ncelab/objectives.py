@@ -352,12 +352,20 @@ def count_vectors(log_pn: np.ndarray, k: int, block: int = _COUNT_BLOCK):
 
 def sample_count_vectors(rng: np.random.Generator, noise: NoiseDistribution, k: int, size: int):
     """Yield (counts, log_weight) blocks of ``size`` count vectors of K i.i.d.
-    noise labels drawn from the multinomial, each at weight 1/size, with at
-    most as many rows per block as a ``count_vectors`` block."""
+    noise labels drawn from the multinomial, each draw at weight 1/size.
+
+    Draws are taken at most as many per block as a ``count_vectors`` block
+    holds rows. Repeated draws within a block are folded: each block yields
+    its distinct count vectors in lexicographic order, each at weight
+    repeats/size, so the cost of a sum over the blocks grows with the
+    distinct vectors drawn rather than with ``size``."""
     rows = max(1, _COUNT_BLOCK // noise.size)
     for start in range(0, size, rows):
         counts = rng.multinomial(k, noise.probs, size=min(rows, size - start))
-        yield counts, np.full(len(counts), -math.log(size))
+        counts = counts[np.lexsort(counts.T[::-1])]
+        first = np.flatnonzero(np.r_[True, (counts[1:] != counts[:-1]).any(axis=1)])
+        repeats = np.diff(np.r_[first, len(counts)])
+        yield counts[first], np.log(repeats) - math.log(size)
 
 
 def ranking_count_terms(problem: ConditionalProblem, shat: np.ndarray, blocks):

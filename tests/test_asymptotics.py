@@ -27,7 +27,7 @@ from ncelab import (
 )
 from ncelab import asymptotics
 from ncelab.asymptotics import COLLAPSE_TOL, _ranking_factors
-from ncelab.objectives import _shifted_table, count_vectors
+from ncelab.objectives import _shifted_table, count_vectors, sample_count_vectors
 
 
 def two_label_problem(theta0=0.0):
@@ -251,6 +251,40 @@ class TestRankingFactorBlocks:
             )
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("k", [8, 64])
+    def test_folded_draws_sum_as_the_unfolded_draws(self, k):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        sf, ts = prob.scoring, prob.theta_star
+        noise = NoiseDistribution.uniform(4)
+        shat = _shifted_table(sf, ts, noise)
+        grads = sf.grad_table(ts)
+        size, rows = 20_000, (1 << 16) // 4  # blocks of 16384 and 3616 draws
+        rng = np.random.default_rng(4)
+        unfolded = [
+            (counts, np.full(len(counts), -math.log(size)))
+            for counts in (
+                rng.multinomial(k, noise.probs, size=min(rows, size - start))
+                for start in range(0, size, rows)
+            )
+        ]
+        folded = list(sample_count_vectors(np.random.default_rng(4), noise, k, size))
+        assert sum(len(counts) for counts, _ in folded) < size
+        want = _ranking_factors(prob, shat, grads, unfolded)
+        got = _ranking_factors(prob, shat, grads, folded)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_folded_blocks_hold_distinct_rows_in_order(self):
+        noise = NoiseDistribution.uniform(4)
+        size, k = 20_000, 8
+        blocks = list(sample_count_vectors(np.random.default_rng(4), noise, k, size))
+        assert len(blocks) == 2
+        for (counts, log_weight), drawn in zip(blocks, (16_384, 3_616)):
+            assert np.all(counts.sum(axis=1) == k)
+            keys = [tuple(row) for row in counts]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert abs(float((np.exp(log_weight) * size).sum()) - drawn) <= 1e-9
 
     def test_monte_carlo_reruns_bit_identically(self):
         prob = make_self_normalized_problem(6, 4, 3, seed=38)

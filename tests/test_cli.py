@@ -260,6 +260,28 @@ class TestAsymptotics:
         mses = {r[4] for r in rows}
         assert len(mses) == 1
 
+    def test_mle_rejects_k_below_one(self, self_normalized_file, tmp_path, capsys):
+        out = tmp_path / "mle.csv"
+        assert run([
+            "asymptotics", "--problem", self_normalized_file, "--estimator", "mle",
+            "--K", "0,-3", "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err == "validation error: K must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["mle", "binary"])
+    def test_monte_carlo_mode_is_ranking_only(self, self_normalized_file, tmp_path, capsys,
+                                              estimator):
+        out = tmp_path / "mc.csv"
+        assert run([
+            "asymptotics", "--problem", self_normalized_file, "--estimator", estimator,
+            "--K", "2", "--mode", "mc:640", "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {estimator} covariance is exact only; mode 'mc' is for ranking\n"
+        )
+        assert not out.exists()
+
     def test_gauge_degenerate_problem_exits_3(self, problem_file, tmp_path):
         # per-label linear models carry a softmax gauge: fisher is singular
         assert run([
