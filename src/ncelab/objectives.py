@@ -362,7 +362,8 @@ def sample_count_vectors(rng: np.random.Generator, noise: NoiseDistribution, k: 
     rows = max(1, _COUNT_BLOCK // noise.size)
     for start in range(0, size, rows):
         counts = rng.multinomial(k, noise.probs, size=min(rows, size - start))
-        counts = counts[np.lexsort(counts.T[::-1])]
+        # keys in the narrowest dtype that holds K: numpy radix-sorts 8- and 16-bit keys
+        counts = counts[np.lexsort(counts.astype(np.min_scalar_type(k)).T[::-1])]
         first = np.flatnonzero(np.r_[True, (counts[1:] != counts[:-1]).any(axis=1)])
         repeats = np.diff(np.r_[first, len(counts)])
         yield counts[first], np.log(repeats) - math.log(size)
