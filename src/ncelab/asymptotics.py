@@ -184,8 +184,8 @@ def ranking_asymptotic_cov(
     Carlo mode draws num_samples count vectors from the multinomial in
     MC_BATCHES batches, folds the repeats of each block
     (``sample_count_vectors``), sums each distinct vector over all
-    m_x * m_y (context, positive) pairs, and attaches the batch-means standard errors of the
-    information.
+    m_x * m_y (context, positive) pairs, and attaches the batch-means
+    standard errors of the information.
     """
     _check_k(k)
     theta_star = check_params(theta_star, sf.n_params)
