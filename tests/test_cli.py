@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: files, manifests, reproducibility, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +344,45 @@ class TestReplicate:
         )
         assert summary["theoretical"] == expected.inverse.tolist()
         assert summary["converged"] == 3
+
+
+class TestThreadCount:
+    SOFTMAX = ["--d", "4", "--m-x", "50", "--m-y", "20", "--seed", "42"]
+    FEATURES = ["--kind", "features", "--d", "2", "--m-x", "3", "--m-y", "4", "--seed", "23"]
+
+    @pytest.mark.parametrize(
+        "synth, args",
+        [
+            (SOFTMAX, ["fit", "--estimator", "ranking", "--K", "4", "--n", "2000"]),
+            (SOFTMAX, ["fit", "--estimator", "binary", "--context-bias", "--K", "4",
+                       "--n", "2000"]),
+            (FEATURES, ["replicate", "--estimator", "ranking", "--K", "4", "--n", "2000",
+                        "--replications", "20"]),
+        ],
+        ids=["fit-ranking", "fit-binary-bias", "replicate"],
+    )
+    def test_results_identical_at_one_and_two_blas_threads(self, tmp_path, synth, args):
+        problem = tmp_path / "problem.json"
+        assert run(["synth", *synth, "--out", problem]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        results = []
+        for threads in ("1", "2"):
+            # the manifest digest covers the output path, so both runs write
+            # the same relative name, each in its own directory
+            workdir = tmp_path / f"threads{threads}"
+            workdir.mkdir()
+            env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run(
+                [sys.executable, "-m", "ncelab.cli", *args, "--problem", str(problem),
+                 "--seed", "7", "--out", "result.json"],
+                cwd=workdir, env=env, check=True, capture_output=True,
+            )
+            results.append({path.name: path.read_bytes() for path in sorted(workdir.iterdir())
+                            if not path.name.endswith(".manifest.json")})
+        assert "result.json" in results[0]
+        assert results[0] == results[1]
 
 
 class TestLm:

@@ -20,6 +20,7 @@ from ncelab import (
     counterexample_problem,
     fit,
     generate_dataset,
+    make_synthetic_problem,
     random_tabular_problem,
 )
 from ncelab import objectives, optimize
@@ -164,21 +165,49 @@ class TestFitMechanics:
 
 
 class TestRestarts:
-    def test_convex_objective_restarts_agree(self):
+    @pytest.mark.parametrize("objective", ["ranking", "mle", "binary"])
+    def test_convex_objective_restarts_agree(self, objective):
         problem = random_tabular_problem(2, 3, 3, seed=13)
         noise = NoiseDistribution.uniform(3)
         ds = generate_dataset(problem, 400, SamplingConfig(k=2, seed=14), noise)
-        cfg = FitConfig(objective="ranking", tol=1e-10)
+        cfg = FitConfig(objective=objective, tol=1e-10)
         values = [
             fit(
                 problem.scoring,
                 ds,
                 noise,
-                cfg if r == 0 else FitConfig(objective="ranking", tol=1e-10, init="gaussian", seed=r),
+                cfg if r == 0 else FitConfig(objective=objective, tol=1e-10, init="gaussian", seed=r),
             ).final_objective
             for r in range(4)
         ]
         assert max(values) - min(values) <= 1e-6
+
+
+class TestConsistencyFits:
+    """The 50x20 softmax problem of acceptance criterion c4, K=4, uniform noise."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return make_synthetic_problem(d=4, m_x=50, m_y=20, seed=42)
+
+    def test_small_ranking_fit_converges(self, problem):
+        # plain gradient ascent stopped this fit unconverged at 5,000 iterations
+        noise = NoiseDistribution.uniform(20)
+        ds = generate_dataset(problem, 5000, SamplingConfig(k=4, seed=2), noise)
+        cfg = FitConfig(objective="ranking", tol=1e-6, max_iters=2500)
+        report = fit(problem.scoring, ds, noise, cfg)
+        assert report.converged and report.grad_norm <= 1e-6
+
+    def test_context_bias_binary_fit_converges_with_gamma_pinned(self, problem):
+        # gamma and the mean of the c_x enter the logit only as a sum; with
+        # gamma free, gradient ascent crawled along that direction and
+        # stopped at 2,500 iterations with |g| 7.2e-4
+        noise = NoiseDistribution.uniform(20)
+        ds = generate_dataset(problem, 5000, SamplingConfig(k=4, seed=1205), noise)
+        cfg = FitConfig(objective="binary", tol=1e-6, max_iters=2500)
+        report = fit(ContextBias(problem.scoring), ds, noise, cfg)
+        assert report.converged and report.iterations < 2500
+        assert report.gamma == 0.0
 
 
 class TestGaugeNeutrality:
@@ -222,8 +251,10 @@ class TestWorkspace:
         p = random_tabular_problem(3, 4, 3, seed=5)
         noise = NoiseDistribution.uniform(4)
         data = generate_dataset(p, 300, SamplingConfig(k=2, seed=6), noise)
+        # a tolerance below the float-noise floor runs each fit into the
+        # line-search stall, so it makes well over 20 evaluations
         cfg = FitConfig(
-            objective=objective, max_iters=20, init="gaussian", seed=9,
+            objective=objective, max_iters=20, tol=1e-300, init="gaussian", seed=9,
             reg=RegularizerConfig(alpha=alpha, m=3, seed=1),
         )
         report = fit(p.scoring, data, noise, cfg)
