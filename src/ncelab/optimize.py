@@ -321,7 +321,7 @@ def fit(
         grad_norm = float(np.linalg.norm(grad))
         iterations = iteration
         trace_detail.append((iteration, value, grad_norm, step))
-        step *= 1.1
+        step *= 1.1  # ascent's next trial step; L-BFGS sets its own
         if callback is not None:
             callback(iteration, params[:-1] if has_gamma else params)
     converged = grad_norm <= cfg.tol
