@@ -12,7 +12,9 @@ end-to-end metric, each side's median and quartiles, the number of pairs
 the change wins (ties count for neither side), and whether that is a gain:
 there are at least ten pairs, the change wins at least nine tenths of
 them, and the medians differ by more than the parent's interquartile
-range. Runs last ``run_seconds`` of the change's BENCHMARK.json, and
+range. ``regression`` marks a metric whose change median is worse than the
+parent's by more than the metric's ``bound`` in BENCHMARK.json times the
+parent's median. Runs last ``run_seconds`` of the change's BENCHMARK.json, and
 ``sides`` records each checkout's ``git describe --always --dirty``.
 ``--out`` is overwritten.
 """
@@ -63,8 +65,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
-    """Per-metric medians, quartiles and the change's wins over a workload's pairs."""
+def summarize(pairs: list[dict], lower_is_better: dict[str, bool],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per-metric medians, quartiles, the change's wins and, for metrics with a
+    bound, whether the change regressed, over a workload's pairs."""
     out = {"pairs": len(pairs)}
     for side in SIDES:
         attempted = sum(p[side]["result"]["attempted"] for p in pairs)
@@ -84,15 +88,20 @@ def summarize(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
         gap = sign * (row["parent"]["median"] - row["change"]["median"])
         row["gain"] = (len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
                        and gap > row["parent"]["q3"] - row["parent"]["q1"])
+        bound = (bounds or {}).get(name)
+        row["regression"] = bound is not None and -gap > bound * abs(row["parent"]["median"])
         metrics[name] = row
     out["metrics"] = metrics
     return out
 
 
-def read_spec(checkout: Path) -> tuple[float, dict[str, bool]]:
-    """Run length and, per end-to-end metric, whether lower is better, from BENCHMARK.json."""
+def read_spec(checkout: Path) -> tuple[float, dict[str, bool], dict[str, float]]:
+    """Run length and, per end-to-end metric, whether lower is better and its
+    regression bound (a share of the parent's median), from BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return spec["run_seconds"], {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    metrics = spec["end_to_end"]
+    return (spec["run_seconds"], {m["name"]: m["better"] == "lower" for m in metrics},
+            {m["name"]: m["bound"] for m in metrics if "bound" in m})
 
 
 def revision(checkout: Path) -> str:
@@ -106,7 +115,7 @@ def revision(checkout: Path) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    seconds, lower = read_spec(args.change)
+    seconds, lower, bounds = read_spec(args.change)
     checkouts = {"parent": args.parent, "change": args.change}
     doc = {
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
@@ -126,7 +135,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: wall {wall:.3f} s", file=sys.stderr)
             rows.append(row)
         pairs[workload] = rows
-    doc["summary"] = {w: summarize(rows, lower) for w, rows in sorted(pairs.items())}
+    doc["summary"] = {w: summarize(rows, lower, bounds) for w, rows in sorted(pairs.items())}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

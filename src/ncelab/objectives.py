@@ -19,18 +19,30 @@ Conventions:
   (``Dataset.ranking_keys``); keys too wide to pack stay one row each.
   Every reduction is a numpy sum over arrays whose shape and order depend
   only on the inputs, so results do not depend on the thread count.
-* The sampled softmaxes (ranking and the regularizer) exponentiate the
-  shifted table once, each context row shifted by its maximum, and gather
-  the candidates from it (``Workspace.gather``): m_x * m_y exps per call
-  instead of one per candidate. Rows that underflow there or meet a
-  non-finite score are redone per row, so a non-finite score still gives a
-  non-finite value.
-* A ``Workspace`` holds their buffers (gather, row sums, exp table).
-  ``optimize._make_value_grad`` builds one per fit, which dies with the fit,
-  and the public functions one per call, so no evaluation of a fit faults in
-  fresh pages for a new gather (2.5 MB for the LM at K=100). Its index is
-  bounds-checked once, so the gather runs ``np.take(..., out=e, mode="clip")``:
-  ``mode="raise"`` takes into a temporary copied to ``out``, and the faults return.
+* A sampled softmax row (a ranking key's K+1 candidates, a regularizer
+  row's m draws) depends only on the multiset of its cells, so each row is
+  folded once into its distinct cells with multiplicities
+  (``sampling.fold_candidates``): a fixed width, that of the widest row,
+  the row's first cell (the observed one for ranking) in column 0, pad
+  slots at multiplicity 0. On the benchmark's LM slice (K=100, 200 words)
+  that is 70 columns of 101. Ranking keys are folded once per dataset and shape,
+  regularizer draws once per fit.
+* The sampled softmaxes exponentiate the shifted table once, each context
+  row shifted by its maximum, and gather the folded cells from it
+  (``Workspace.gather``): m_x * m_y exps per call instead of one per
+  candidate, each gathered value times its multiplicity. Rows whose first
+  exp underflows there or that meet a non-finite score are redone per row
+  on the scores plus log multiplicities, so they stay exact and a
+  non-finite score still gives a non-finite value.
+* A ``Workspace`` holds their buffers (gather, first exps, row sums, exp
+  table). ``optimize._make_value_grad`` builds one per fit, which dies with
+  the fit, and the public functions one per call, so no evaluation of a fit
+  faults in fresh pages for a new gather. Its index is bounds-checked
+  once, so the gather runs ``np.take(..., out=e, mode="clip")``:
+  ``mode="raise"`` takes into a temporary copied to ``out``, and the faults
+  return. A regularized ranking fit lays its two layouts end to end
+  (``shared_workspaces``): one exp table, one ``np.bincount`` and one
+  ``accumulate_grad`` per evaluation.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -49,7 +61,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params, log_softmax_rows
-from .sampling import Dataset, NoiseDistribution, derive_rng
+from .sampling import Dataset, NoiseDistribution, RankingKeys, derive_rng, fold_candidates
 
 TERM_BUDGET = 10**7
 _COUNT_BLOCK = 1 << 16  # cells per block of count vectors, exact or sampled
@@ -126,14 +138,19 @@ def _row_sum(e: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """One fit's buffers for a sampled softmax over a fixed (rows, C) index of flat
-    cells x * m_y + label; the fit's workspaces share one (m_x, m_y) ``exp_table``."""
+    """One fit's buffers for a sampled softmax over a fixed folded layout: (rows, W)
+    flat cells x * m_y + label and their multiplicities ``mult`` (``fold_candidates``).
+    The fit's workspaces share one (m_x, m_y) ``exp_table``; ``e``, when given, is a
+    flat slice of a buffer that ``shared_workspaces`` lays several layouts end to end in."""
 
-    def __init__(self, index: np.ndarray, exp_table: np.ndarray) -> None:
+    def __init__(
+        self, index: np.ndarray, mult: np.ndarray, exp_table: np.ndarray, e: np.ndarray | None = None
+    ) -> None:
         if index.size and (index.min() < 0 or index.max() >= exp_table.size):
             raise IndexError(f"candidate index out of bounds for a {exp_table.shape} score table")
-        self.index, self.exp_table = index, exp_table
-        self.e, self.s = np.empty(index.shape), np.empty(index.shape[0])
+        self.index, self.mult, self.exp_table = index, mult, exp_table
+        self.e = np.empty(index.shape) if e is None else e.reshape(index.shape)
+        self.first, self.s = np.empty(index.shape[0]), np.empty(index.shape[0])
 
     def shifted_scores(self, sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribution):
         """The shifted table shat and exp(shat - its row maximum), the latter in ``exp_table``."""
@@ -142,30 +159,56 @@ class Workspace:
         return shat, np.exp(self.exp_table, out=self.exp_table)
 
     def gather(self, table: np.ndarray, exp_table: np.ndarray):
-        """Row log-sum-exp of ``table.ravel()[index]``, with its softmax unnormalized.
+        """Row log-sum-exp of the candidates, with their softmax unnormalized.
 
         Each index row holds one context's cells (ranking keys and regularizer
         draws do); ``exp_table`` is ``table`` exponentiated once, each row shifted
         by its maximum (``shifted_scores``). Returns (lse, e, s): e the gathered
-        values and s their row sums, this workspace's buffers; e / s[:, None] is
-        the softmax.
+        values times their multiplicities and s their row sums, this workspace's
+        buffers; e / s[:, None] is each cell's share of the softmax, and pads hold 0.
 
-        lse is the first candidate's score plus log(s / e[:, 0]), so its rounding
+        lse is the first cell's score plus log(s / its own exp), so its rounding
         scales with the candidates' own scores, not the context maximum. A row whose
-        first value is below the smallest normal float (that candidate over ~708
+        first exp is below the smallest normal float (that candidate over ~708
         below its context's maximum; every row whose s underflows is one) or whose
-        lse is not finite is redone by ``log_softmax_rows``, with e its softmax, s = 1.
+        lse is not finite is redone by ``log_softmax_rows`` on the scores plus log
+        multiplicities, with e its softmax, s = 1.
         """
-        index, e, s = self.index, self.e, self.s
-        _row_sum(np.take(exp_table, index, out=e, mode="clip"), s)
+        index, e, s, first = self.index, self.e, self.s, self.first
+        np.take(exp_table, index, out=e, mode="clip")
+        np.copyto(first, e[:, 0])
+        _row_sum(np.multiply(e, self.mult, out=e), s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
-        redo = ~((e[:, 0] >= _TINY) & np.isfinite(lse))
+            lse = np.take(table, index[:, 0]) + np.log(s / first)
+        redo = ~((first >= _TINY) & np.isfinite(lse))
         if redo.any():
-            lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]])
+            with np.errstate(divide="ignore"):
+                log_mult = np.log(self.mult[redo], dtype=np.float64)  # of uint8 it is float16
+            lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]] + log_mult)
             e[redo] = np.exp(log_p)
             s[redo] = 1.0
         return lse, e, s
+
+
+def shared_workspaces(layouts, exp_table: np.ndarray):
+    """Workspaces over several folded (index, mult) layouts, their cells and
+    gathered values laid end to end in one flat index and one flat buffer, so
+    that one ``np.bincount`` scatters all their weights. Returns (workspaces,
+    flat index, flat buffer)."""
+    index = np.concatenate([cells.ravel() for cells, _ in layouts])
+    e = np.empty(index.size)
+    ends = np.cumsum([cells.size for cells, _ in layouts])
+    workspaces = [
+        Workspace(index[end - cells.size:end].reshape(cells.shape), mult, exp_table,
+                  e[end - cells.size:end])
+        for (cells, mult), end in zip(layouts, ends)
+    ]
+    return workspaces, index, e
+
+
+def fold_draws(x_idx: np.ndarray, draws: np.ndarray, m_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regularizer's (n, m) draws folded into (index, mult), each row's first draw in column 0."""
+    return fold_candidates(x_idx, draws[:, 0], np.sort(draws[:, 1:], axis=1), m_y)
 
 
 def _check_k(k: int) -> None:
@@ -177,26 +220,32 @@ def _check_k(k: int) -> None:
 # sampled objectives
 
 
+def _ranking_terms(ws: Workspace, keys: RankingKeys, n: int, scores) -> tuple[float, np.ndarray]:
+    """The ranking value and, in ``ws.e``, each folded candidate's gradient weight."""
+    shat, exp_table = scores
+    lse, coeff, row_sum = ws.gather(shat, exp_table)
+    weight = keys.counts / n
+    coeff *= (-weight / row_sum)[:, None]
+    coeff[:, 0] += weight
+    return float(np.sum(keys.counts * (shat.ravel()[ws.index[:, 0]] - lse)) / n), coeff
+
+
 def ranking_value_grad(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution,
-    ws: Workspace | None = None, scores: tuple[np.ndarray, np.ndarray] | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean log-probability of ranking the true label above its negatives, and its gradient.
 
     One pass over the dataset's distinct (x, y, sorted negatives) keys of
-    ``Dataset.ranking_keys``, each term weighted by the key's count. ``ws``
-    (a Workspace over those keys) and ``scores`` (its ``shifted_scores`` of
-    theta) are built for this call when not given.
+    ``Dataset.ranking_keys``, each term weighted by the key's count and each
+    key's candidates folded into its distinct cells. ``ws`` (a Workspace over
+    those keys) is built for this call when not given.
     """
     keys = dataset.ranking_keys(sf.m_x, sf.m_y)
-    ws = ws or Workspace(keys.index, np.empty((sf.m_x, sf.m_y)))
+    ws = ws or Workspace(keys.index, keys.mult, np.empty((sf.m_x, sf.m_y)))
     theta = check_params(theta, sf.n_params)
-    shat, exp_table = scores or ws.shifted_scores(sf, theta, noise)
-    lse, coeff, row_sum = ws.gather(shat, exp_table)
-    coeff *= (-keys.counts / row_sum)[:, None]
-    coeff[:, 0] += keys.counts
-    value = float(np.sum(keys.counts * (shat.ravel()[ws.index[:, 0]] - lse)) / dataset.n)
-    return value, _scatter_grad(sf, theta, ws.index, coeff) / dataset.n
+    value, coeff = _ranking_terms(ws, keys, dataset.n, ws.shifted_scores(sf, theta, noise))
+    return value, _scatter_grad(sf, theta, ws.index, coeff)
 
 
 def binary_logit(
@@ -472,28 +521,54 @@ def population_binary_objective(
 # self-normalization regularizer
 
 
+def _penalty_terms(ws: Workspace, scores, alpha: float, m: int, sign: float = 1.0):
+    """The penalty (alpha/n) sum_i log_zhat_i**2 over ``ws``'s n folded rows of m
+    draws and, in ``ws.e``, ``sign`` times each folded draw's gradient weight."""
+    n = ws.index.shape[0]
+    lse, coeff, row_sum = ws.gather(*scores)
+    log_zhat = lse - np.log(m)
+    coeff *= ((sign * 2.0 * alpha / n) * log_zhat / row_sum)[:, None]
+    return float(alpha / n * np.sum(log_zhat**2)), coeff
+
+
 def regularizer_from_draws(
     sf: ScoringFunction, theta: np.ndarray, x_idx: np.ndarray, draws: np.ndarray,
-    noise: NoiseDistribution, alpha: float,
-    ws: Workspace | None = None, scores: tuple[np.ndarray, np.ndarray] | None = None,
+    noise: NoiseDistribution, alpha: float, ws: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Penalty (alpha/n) sum_i (log mean_j exp shat(x_i, ytilde_ij))^2 and its gradient.
 
     The inner mean estimates Z(x_i; theta); the penalty pushes log Z
-    toward 0, i.e. a constant (unit) partition function. ``ws`` (over the cells
-    ``x_idx[:, None] * m_y + draws``) and ``scores`` are as in ``ranking_value_grad``.
+    toward 0, i.e. a constant (unit) partition function. ``ws`` (over
+    ``fold_draws(x_idx, draws, m_y)``) is built for this call when not given.
     """
     theta = check_params(theta, sf.n_params)
     n = x_idx.size
     if alpha == 0.0 or n == 0:
         return 0.0, np.zeros(sf.n_params)
-    ws = ws or Workspace(x_idx[:, None] * sf.m_y + draws, np.empty((sf.m_x, sf.m_y)))
-    shat, exp_table = scores or ws.shifted_scores(sf, theta, noise)
-    lse, coeff, row_sum = ws.gather(shat, exp_table)
-    log_zhat = lse - np.log(draws.shape[1])
-    value = float(alpha / n * np.sum(log_zhat**2))
-    coeff *= ((2.0 * alpha / n) * log_zhat / row_sum)[:, None]
+    ws = ws or Workspace(*fold_draws(x_idx, draws, sf.m_y), np.empty((sf.m_x, sf.m_y)))
+    value, coeff = _penalty_terms(ws, ws.shifted_scores(sf, theta, noise), alpha, draws.shape[1])
     return value, _scatter_grad(sf, theta, ws.index, coeff)
+
+
+def regularized_ranking_value_grad(
+    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution,
+    draws: np.ndarray, alpha: float, shared=None,
+) -> tuple[float, np.ndarray]:
+    """``ranking_value_grad`` minus ``regularizer_from_draws`` over ``dataset.x``
+    and ``draws``, from one score table, one exp table, one ``np.bincount`` and
+    one ``accumulate_grad``. ``shared`` is ``shared_workspaces`` over the ranking
+    keys and the folded draws, built for this call when not given.
+    """
+    keys = dataset.ranking_keys(sf.m_x, sf.m_y)
+    (ws, reg_ws), index, weights = shared or shared_workspaces(
+        [(keys.index, keys.mult), fold_draws(dataset.x, draws, sf.m_y)],
+        np.empty((sf.m_x, sf.m_y)),
+    )
+    theta = check_params(theta, sf.n_params)
+    scores = ws.shifted_scores(sf, theta, noise)
+    value, _ = _ranking_terms(ws, keys, dataset.n, scores)
+    penalty, _ = _penalty_terms(reg_ws, scores, alpha, draws.shape[1], sign=-1.0)
+    return value - penalty, _scatter_grad(sf, theta, index, weights)
 
 
 def regularizer_draws(

@@ -44,12 +44,15 @@ from .objectives import (
     RegularizerConfig,
     Workspace,
     binary_value_grad,
+    fold_draws,
     mle_value_grad,
     population_binary_value_grad,
     population_ranking_value_grad,
     ranking_value_grad,
+    regularized_ranking_value_grad,
     regularizer_draws,
     regularizer_from_draws,
+    shared_workspaces,
 )
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
@@ -146,20 +149,33 @@ def _make_value_grad(sf, data, noise, cfg):
         raise ValidationError(f"objective '{cfg.objective}' needs a Dataset")
     if cfg.objective in ("ranking", "binary") and noise is None:
         raise ValidationError(f"objective '{cfg.objective}' needs a noise distribution")
-    if not is_population:
-        data.tables(sf.m_x, sf.m_y)  # bounds-checks the data before any workspace is built
+    regularized = cfg.reg is not None and cfg.reg.alpha > 0.0
+    if regularized and is_population:
+        raise ValidationError("the sampled regularizer needs a Dataset objective")
+    if cfg.objective == "ranking":
+        keys = data.ranking_keys(sf.m_x, sf.m_y)  # bounds-checks the data before any workspace
+    elif not is_population:
+        data.tables(sf.m_x, sf.m_y)  # the same check
 
     def split(params):
         return BinaryParams(params[:-1], float(params[-1]))
 
-    ws = None
-    if cfg.objective == "ranking":
-        ws = Workspace(data.ranking_keys(sf.m_x, sf.m_y).index, np.empty((sf.m_x, sf.m_y)))
+    if regularized:
+        draws = regularizer_draws(data, noise, cfg.reg)
+        folded = fold_draws(data.x, draws, sf.m_y)
+        exp_table = np.empty((sf.m_x, sf.m_y))
+        if cfg.objective == "ranking":
+            # ranking and penalty weights end to end: one bincount, one accumulate_grad
+            shared = shared_workspaces([(keys.index, keys.mult), folded], exp_table)
+            return lambda params: regularized_ranking_value_grad(
+                sf, params, data, noise, draws, cfg.reg.alpha, shared
+            )
+        reg_ws = Workspace(*folded, exp_table)
+    elif cfg.objective == "ranking":
+        ws = Workspace(keys.index, keys.mult, np.empty((sf.m_x, sf.m_y)))
     value_grad = {
         "mle": lambda params: mle_value_grad(sf, params, data),
-        "ranking": lambda params, scores=None: ranking_value_grad(
-            sf, params, data, noise, ws, scores
-        ),
+        "ranking": lambda params: ranking_value_grad(sf, params, data, noise, ws),
         "binary": lambda params: binary_value_grad(sf, split(params), data, noise),
         "population-ranking": lambda params: population_ranking_value_grad(
             sf, params, data, noise, cfg.k
@@ -168,29 +184,21 @@ def _make_value_grad(sf, data, noise, cfg):
             sf, split(params), data, noise, cfg.k
         ),
     }[cfg.objective]
+    if not regularized:
+        return value_grad
+    has_gamma = _binary_tag(cfg.objective)
 
-    if cfg.reg is not None and cfg.reg.alpha > 0.0:
-        if is_population:
-            raise ValidationError("the sampled regularizer needs a Dataset objective")
-        base = value_grad
-        has_gamma = _binary_tag(cfg.objective)
-        draws = regularizer_draws(data, noise, cfg.reg)
-        exp_table = np.empty((sf.m_x, sf.m_y)) if ws is None else ws.exp_table
-        reg_ws = Workspace(data.x[:, None] * sf.m_y + draws, exp_table)
+    def regularized_value_grad(params):
+        theta = params[:-1] if has_gamma else params
+        value, grad = value_grad(params)
+        reg_value, reg_grad = regularizer_from_draws(
+            sf, theta, data.x, draws, noise, cfg.reg.alpha, reg_ws
+        )
+        if has_gamma:
+            reg_grad = np.concatenate([reg_grad, [0.0]])
+        return value - reg_value, grad - reg_grad
 
-        def value_grad(params):
-            theta = params[:-1] if has_gamma else params
-            # one score table per evaluation, shared with the ranking loss
-            scores = reg_ws.shifted_scores(sf, theta, noise)
-            value, grad = base(params) if ws is None else base(params, scores)
-            reg_value, reg_grad = regularizer_from_draws(
-                sf, theta, data.x, draws, noise, cfg.reg.alpha, reg_ws, scores
-            )
-            if has_gamma:
-                reg_grad = np.concatenate([reg_grad, [0.0]])
-            return value - reg_value, grad - reg_grad
-
-    return value_grad
+    return regularized_value_grad
 
 
 def _initial_params(sf, cfg):

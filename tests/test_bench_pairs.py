@@ -86,9 +86,28 @@ def test_failed_share_and_correctness_per_side():
 
 def test_run_length_and_directions_come_from_the_benchmark_spec(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20, "end_to_end": [
-        {"name": "wall_s", "better": "lower"}, {"name": "ops_per_s", "better": "higher"},
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "ops_per_s", "better": "higher"},
     ]}))
-    assert bench_pairs.read_spec(tmp_path) == (20, {"wall_s": True, "ops_per_s": False})
+    assert bench_pairs.read_spec(tmp_path) == (
+        20, {"wall_s": True, "ops_per_s": False}, {"wall_s": 0.25}
+    )
+
+
+def test_regression_is_a_median_worse_by_more_than_the_bound():
+    # parent median 10.0, bound 0.1: worse by more than 1.0 is a regression
+    parent = [9.0, 10.0, 11.0]
+    for change, regressed in (([10.5, 11.0, 11.5], False), ([10.5, 11.5, 12.0], True)):
+        wall = bench_pairs.summarize(canned(parent, change), {"wall_s": True},
+                                     {"wall_s": 0.1})["metrics"]["wall_s"]
+        assert wall["regression"] is regressed
+    # higher is better: a drop below 0.9 x the parent's median regresses
+    out = bench_pairs.summarize(canned(parent, [8.5, 8.9, 9.5]), {"wall_s": False},
+                                {"wall_s": 0.1})
+    assert out["metrics"]["wall_s"]["regression"] is True
+    # no bound, no regression flag raised
+    rss = out["metrics"]["peak_rss_mib"]
+    assert rss["regression"] is False
 
 
 def test_revision_needs_a_git_checkout(tmp_path):

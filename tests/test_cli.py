@@ -358,8 +358,13 @@ class TestThreadCount:
                        "--n", "2000"]),
             (FEATURES, ["replicate", "--estimator", "ranking", "--K", "4", "--n", "2000",
                         "--replications", "20"]),
+            # K=8 over m_y=4 labels: every row folds repeated candidates
+            (FEATURES, ["fit", "--estimator", "ranking", "--K", "8", "--n", "2000"]),
+            (FEATURES, ["fit", "--estimator", "ranking", "--K", "8", "--n", "2000",
+                        "--reg-alpha", "0.5"]),
         ],
-        ids=["fit-ranking", "fit-binary-bias", "replicate"],
+        ids=["fit-ranking", "fit-binary-bias", "replicate", "fit-ranking-folded",
+             "fit-ranking-folded-reg"],
     )
     def test_results_identical_at_one_and_two_blas_threads(self, tmp_path, synth, args):
         problem = tmp_path / "problem.json"

@@ -38,6 +38,7 @@ from ncelab import (
 )
 from ncelab import objectives
 from ncelab.model import log_softmax_rows
+from ncelab.sampling import fold_candidates
 from ncelab.objectives import (
     Workspace,
     _binary_value_grad,
@@ -46,10 +47,12 @@ from ncelab.objectives import (
     _shifted_table,
     binary_value_grad,
     count_vectors,
+    fold_draws,
     mle_value_grad,
     population_binary_value_grad,
     population_ranking_value_grad,
     ranking_value_grad,
+    regularized_ranking_value_grad,
     regularizer_from_draws,
 )
 
@@ -96,10 +99,27 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12)
 
 
+def fold_index(index):
+    """(index, mult) of an index of flat cells, each row in one context: with
+    m_y = 1 and every x 0, ``fold_draws`` takes the cells as labels."""
+    return fold_draws(np.zeros(index.shape[0], dtype=np.int64), index, 1)
+
+
 def gathered(table, index):
-    """The gather kernel through a workspace built for this one call."""
+    """The gather kernel over the folded index, through a workspace built for
+    this one call; returns (lse, e, s) and the folded (index, mult)."""
     exp_table = np.exp(table - table.max(axis=1)[:, None])
-    return Workspace(index, np.empty(table.shape)).gather(table, exp_table)
+    folded = fold_index(index)
+    return Workspace(*folded, np.empty(table.shape)).gather(table, exp_table), folded
+
+
+def folded_softmax(cand_cells, q, cells, mult):
+    """Each folded slot's share of the per-candidate softmax q: the sum of q over
+    the row's candidates in that slot's cell, 0 in pad slots."""
+    return np.array([
+        [q_row[row == cell].sum() if m else 0.0 for cell, m in zip(cell_row, mult_row)]
+        for row, q_row, cell_row, mult_row in zip(cand_cells, q, cells, mult)
+    ])
 
 
 def small_setup(seed, m_x=2, m_y=3, d=4, n=6, k=2):
@@ -749,14 +769,17 @@ class TestGatheredExp:
         index = rng.integers(0, m_x, rows)[:, None] * m_y + rng.integers(0, m_y, (rows, cols))
         if ties:
             table = np.round(table)
-        lse, e, row_sum = gathered(table, index)
+        (lse, e, row_sum), (cells, mult) = gathered(table, index)
         cand = table.ravel()[index]
         ref_lse, ref_q = logsumexp(cand, axis=1), np.exp(log_softmax(cand, axis=1))
         # relative to the row's largest magnitude: where the log-sum-exp
         # cancels to near 0, both sides keep ~1e-16 of their O(1) terms' rounding
         row_scale = np.maximum(np.abs(ref_lse), np.abs(cand).max(axis=1))
         assert np.all(np.abs(lse - ref_lse) <= 1e-13 * row_scale)
-        np.testing.assert_allclose(e / row_sum[:, None], ref_q, rtol=0, atol=1e-13)
+        assert e.shape == cells.shape and np.all(e[mult == 0] == 0.0)
+        np.testing.assert_allclose(
+            e / row_sum[:, None], folded_softmax(index, ref_q, cells, mult), rtol=0, atol=1e-13
+        )
 
     def test_underflowing_rows_take_the_fallback_bit_for_bit(self, monkeypatch):
         calls = []
@@ -774,15 +797,25 @@ class TestGatheredExp:
         ctx, labels = rng.integers(0, 3, 30), rng.integers(1, 20, (30, 9))
         labels[::4, 3] = 0
         labels[::3, 0] = 0
+        labels[1::2, 5:] = labels[1::2, :1]  # repeats of the first label fold into column 0
         index = ctx[:, None] * 20 + labels
         # the first candidate underflows, whether or not a later one peaks
         far = (ctx != 1) & (labels[:, 0] != 0)
-        lse, e, row_sum = gathered(table, index)
+        (lse, e, row_sum), (cells, mult) = gathered(table, index)
         assert calls == [int(far.sum())] and not far.all()
         assert (far & (labels[:, 3] == 0)).any() and (far & (labels[:, 3] != 0)).any()
+        assert (mult[far, 0] > 1).any() and (mult[far] == 0).any()
+        # the redo is the row-exact routine on the folded scores plus log multiplicities
+        with np.errstate(divide="ignore"):
+            log_mult = np.log(mult[far], dtype=np.float64)
+        want_lse, want_log_p = log_softmax_rows(table.ravel()[cells[far]] + log_mult)
+        np.testing.assert_array_equal(lse[far], want_lse)
+        np.testing.assert_array_equal(e[far] / row_sum[far, None], np.exp(want_log_p))
+        # and it stays exact against the unfolded rows
         cand = table.ravel()[index[far]]
-        np.testing.assert_array_equal(lse[far], logsumexp(cand, axis=1))
-        np.testing.assert_array_equal(e[far] / row_sum[far, None], np.exp(log_softmax(cand, axis=1)))
+        np.testing.assert_allclose(lse[far], logsumexp(cand, axis=1), rtol=1e-15)
+        ref_q = folded_softmax(index[far], np.exp(log_softmax(cand, axis=1)), cells[far], mult[far])
+        np.testing.assert_allclose(e[far], ref_q, rtol=1e-13, atol=1e-300)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_scores_give_non_finite_values(self, bad):
@@ -805,16 +838,21 @@ class TestGatheredExp:
             fit(sf, ds, noise, cfg)
 
 
-def fresh_gather(table, index):
+def fresh_gather(table, cells, mult):
     """The gather as one-shot numpy calls, every array allocated anew:
-    ``np.take`` of the exp table and ``sum(axis=1)``, then the same redo."""
-    e = np.take(np.exp(table - table.max(axis=1)[:, None]), index)
+    ``np.take`` of the exp table, times the multiplicities, and ``sum(axis=1)``,
+    then the same redo."""
+    e = np.take(np.exp(table - table.max(axis=1)[:, None]), cells)
+    first = e[:, 0].copy()
+    e = e * mult
     s = e.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lse = np.take(table, index[:, 0]) + np.log(s / e[:, 0])
-    redo = ~((e[:, 0] >= np.finfo(np.float64).tiny) & np.isfinite(lse))
+        lse = np.take(table, cells[:, 0]) + np.log(s / first)
+    redo = ~((first >= np.finfo(np.float64).tiny) & np.isfinite(lse))
     if redo.any():
-        lse[redo], log_p = log_softmax_rows(table.ravel()[index[redo]])
+        with np.errstate(divide="ignore"):
+            log_mult = np.log(mult[redo], dtype=np.float64)
+        lse[redo], log_p = log_softmax_rows(table.ravel()[cells[redo]] + log_mult)
         e[redo] = np.exp(log_p)
         s[redo] = 1.0
     return lse, e, s, redo
@@ -838,12 +876,13 @@ class TestWorkspace:
         first[0, 0] = 740.0
         index[0] = rng.integers(1, m_y, cols)
         second = 3.0 * rng.standard_normal((m_x, m_y))
-        ws = Workspace(index, np.empty((m_x, m_y)))
+        cells, mult = fold_index(index)
+        ws = Workspace(cells, mult, np.empty((m_x, m_y)))
         for call, table in enumerate((first, second)):
             exp_table = np.exp(table - table.max(axis=1)[:, None], out=ws.exp_table)
             got = ws.gather(table, exp_table)
             assert got[1] is ws.e and got[2] is ws.s
-            *want, redo = fresh_gather(table, index)
+            *want, redo = fresh_gather(table, cells, mult)
             assert redo[0] if call == 0 else not redo.any()
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -851,7 +890,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("cell", [-1, 6])
     def test_out_of_range_index_raises_when_built(self, cell):
         with pytest.raises(IndexError, match="out of bounds"):
-            Workspace(np.array([[0, 1], [3, cell]]), np.empty((2, 3)))
+            Workspace(np.array([[0, 1], [3, cell]]), np.ones((2, 2), np.uint8), np.empty((2, 3)))
 
     def test_regularizer_rejects_out_of_range_draws(self):
         problem, noise, ds, theta = small_setup(seed=45)
@@ -878,7 +917,8 @@ class TestDatasetTables:
         ds = Dataset(x=[0, 1, 1], y=[2, 0, 2], negatives=[[1, 1], [0, 2], [2, 2]], provenance={})
         tables = ds.tables(2, 3)
         assert ds.tables(2, 3) is tables
-        np.testing.assert_array_equal(tables.index, [[2, 1, 1], [3, 3, 5], [5, 5, 5]])
+        # count tables only: the (n, K+1) candidate index is not kept
+        assert tables._fields == ("positives", "negatives")
         np.testing.assert_array_equal(tables.positives, [[0, 0, 1], [1, 0, 1]])
         np.testing.assert_array_equal(tables.negatives, [[0, 2, 0], [1, 0, 3]])
         assert ds.tables(2, 4) is not tables
@@ -916,17 +956,6 @@ def repeated_rows(draw):
     return sf, noise, dataset, rng.standard_normal(sf.n_params)
 
 
-def unweighted_ranking(sf, theta, ds, noise):
-    """The per-row kernel over the dataset's rows as drawn, with np.mean."""
-    index = ds.tables(sf.m_x, sf.m_y).index
-    shat = _shifted_table(sf, theta, noise)
-    lse, coeff, row_sum = gathered(shat, index)
-    coeff *= (-1.0 / row_sum)[:, None]
-    coeff[:, 0] += 1.0
-    value = float(np.mean(shat.ravel()[index[:, 0]] - lse))
-    return value, _scatter_grad(sf, theta, index, coeff) / ds.n
-
-
 class TestRankingFold:
     @settings(max_examples=80, deadline=None)
     @given(repeated_rows())
@@ -945,9 +974,14 @@ class TestRankingFold:
         sf, _, ds, _ = case
         keys = ds.ranking_keys(sf.m_x, sf.m_y)
         assert ds.ranking_keys(sf.m_x, sf.m_y) is keys
-        assert keys.index.shape == (keys.counts.size, ds.k + 1)
+        assert keys.index.shape == keys.mult.shape and keys.index.shape[0] == keys.counts.size
         assert keys.counts.dtype == np.float64 and keys.counts.sum() == ds.n
-        rows = [tuple(row) for row in keys.index]
+        # each folded key back as (observed cell, sorted negative cells)
+        rows = []
+        for cells, mult in zip(keys.index, keys.mult):
+            candidates = sorted(np.repeat(cells, mult).tolist())
+            candidates.remove(int(cells[0]))
+            rows.append((int(cells[0]), *candidates))
         assert len(set(rows)) == len(rows)
         brute = Counter(
             (int(x) * sf.m_y + int(y), *sorted(int(x) * sf.m_y + int(v) for v in negs))
@@ -962,10 +996,12 @@ class TestRankingFold:
         ds = Dataset(x=[0, 0, 0, 0], y=[1, 1, 1, 1], negatives=negatives, provenance={})
         keys = ds.ranking_keys(1, 2)
         np.testing.assert_array_equal(keys.counts, [1.0, 2.0, 1.0])
-        np.testing.assert_array_equal(keys.index[1], [1, 0] + [1] * (k - 1))
+        np.testing.assert_array_equal(keys.index, [[1, 0], [1, 0], [1, 1]])
+        np.testing.assert_array_equal(keys.mult, [[1, k], [k, 1], [k + 1, 0]])
 
-    def test_wide_keys_are_the_identity_with_the_mean_form_bits(self):
-        # m_x * m_y**(K+1) = 2**63 does not fit an int64: no fold
+    def test_wide_keys_fold_each_row_alone(self):
+        # m_x * m_y**(K+1) = 2**63 does not fit an int64: no fold across rows,
+        # but each row still folds its K+1 candidates into at most 2 cells
         rng = np.random.default_rng(5)
         k, n = 62, 40
         sf = ContextBias(LinearFeatures(rng.standard_normal((2, 2, 3))))
@@ -975,13 +1011,13 @@ class TestRankingFold:
             negatives=rng.integers(0, 2, (n, k)), provenance={},
         )
         keys = ds.ranking_keys(2, 2)
-        assert keys.index is ds.tables(2, 2).index
         np.testing.assert_array_equal(keys.counts, np.ones(n))
+        assert keys.index.shape == (n, 2)
+        np.testing.assert_array_equal(keys.index[:, 0], ds.x * 2 + ds.y)
+        np.testing.assert_array_equal(keys.mult.sum(axis=1), np.full(n, k + 1))
         theta = rng.standard_normal(sf.n_params)
-        value, grad = ranking_value_grad(sf, theta, ds, noise)
-        ref_value, ref_grad = unweighted_ranking(sf, theta, ds, noise)
-        assert value == ref_value
-        np.testing.assert_array_equal(grad, ref_grad)
+        # the fold sums each cell's repeats as one product, so the bits move
+        assert_matches(ranking_value_grad(sf, theta, ds, noise), ref_ranking(sf, theta, ds, noise))
 
     def test_mle_and_binary_never_build_the_fold(self, monkeypatch):
         def refuse(*args):
@@ -994,6 +1030,99 @@ class TestRankingFold:
         binary_value_grad(sf, BinaryParams(theta, 0.3), ds, noise)
         with pytest.raises(AssertionError, match="fold built"):
             ranking_value_grad(sf, theta, ds, noise)
+
+
+@st.composite
+def heavy_rows(draw):
+    """A dataset whose rows hold K >= m_y candidates, so labels repeat within
+    a row. With one-hot features theta is the score table; when ``far`` holds,
+    one cell peaks 740 above its context, so that context's rows led by
+    another label underflow in the gather and are redone."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    m_x, m_y = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    k, n = draw(st.integers(m_y, 4 * m_y)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((m_x, m_y))
+    if draw(st.booleans()):
+        table[rng.integers(0, m_x), rng.integers(0, m_y)] = 740.0
+    sf = LinearFeatures(np.eye(m_x * m_y).reshape(m_x, m_y, m_x * m_y))
+    raw = rng.random(m_y) + 0.1
+    noise = NoiseDistribution(raw / raw.sum())
+    ds = Dataset(
+        x=rng.integers(0, m_x, n), y=rng.integers(0, m_y, n),
+        negatives=rng.integers(0, m_y, (n, k)), provenance={},
+    )
+    return sf, noise, ds, table.ravel(), draw(st.integers(1, 64))
+
+
+class TestFold:
+    """``fold_candidates`` and the kernels that read its layout, on rows whose
+    labels repeat."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(heavy_rows())
+    def test_cells_and_multiplicities_reproduce_each_row(self, case):
+        sf, _, ds, _, block = case
+        rows = np.concatenate([ds.y[:, None], ds.negatives], axis=1)
+        index, mult = fold_candidates(ds.x, ds.y, np.sort(ds.negatives, axis=1), sf.m_y, block)
+        assert index.shape == mult.shape and mult.dtype == np.min_scalar_type(ds.k + 1)
+        distinct = [np.unique(row).size for row in rows]
+        assert index.shape[1] == max(distinct)
+        np.testing.assert_array_equal(index[:, 0], ds.x * sf.m_y + ds.y)
+        assert np.all(mult[:, 0] >= 1)
+        for x, row, cells, counts, d in zip(ds.x, rows, index, mult, distinct):
+            real = counts > 0
+            assert real.sum() == d and not real[d:].any()
+            assert np.all(cells[~real] == cells[0])
+            assert len(set(cells[real].tolist())) == d
+            assert Counter(np.repeat(cells, counts).tolist()) == Counter((x * sf.m_y + row).tolist())
+        # the regularizer's draws fold the same way, the first draw in column 0
+        draws_index, draws_mult = fold_draws(ds.x, rows, sf.m_y)
+        np.testing.assert_array_equal(draws_index, index)
+        np.testing.assert_array_equal(draws_mult, mult)
+
+    @settings(max_examples=100, deadline=None)
+    @given(heavy_rows())
+    def test_kernels_match_the_unfolded_references(self, case):
+        sf, noise, ds, theta, _ = case
+        ranking = ranking_value_grad(sf, theta, ds, noise)
+        ref_rank = ref_ranking(sf, theta, ds, noise)
+        assert_matches(ranking, ref_rank, grad_floor=1e-5)
+        penalty = regularizer_from_draws(sf, theta, ds.x, ds.negatives, noise, 0.7)
+        ref_pen = ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7)
+        assert_matches(penalty, ref_pen)
+        both = regularized_ranking_value_grad(sf, theta, ds, noise, ds.negatives, 0.7)
+        assert_matches(both, (ref_rank[0] - ref_pen[0], ref_rank[1] - ref_pen[1]), grad_floor=1e-5)
+
+    def test_redone_rows_match_the_unfolded_references(self, monkeypatch):
+        calls = []
+
+        def counting(cand):
+            calls.append(cand.shape[0])
+            return log_softmax_rows(cand)
+
+        monkeypatch.setattr(objectives, "log_softmax_rows", counting)
+        rng = np.random.default_rng(3)
+        m_x, m_y, k, n = 2, 4, 9, 30
+        sf = LinearFeatures(np.eye(m_x * m_y).reshape(m_x, m_y, m_x * m_y))
+        table = rng.standard_normal((m_x, m_y))
+        table[0, 0] = 740.0  # context 0's rows led by labels 1-3 underflow
+        noise = NoiseDistribution.uniform(m_y)
+        ds = Dataset(
+            x=rng.integers(0, m_x, n), y=rng.integers(0, m_y, n),
+            negatives=rng.integers(0, m_y, (n, k)), provenance={},
+        )
+        theta = table.ravel()
+        assert_matches(ranking_value_grad(sf, theta, ds, noise), ref_ranking(sf, theta, ds, noise))
+        assert calls and calls[-1] == len({
+            (y, *sorted(negs)) for x, y, negs in zip(ds.x, ds.y, ds.negatives.tolist())
+            if x == 0 and y != 0
+        })
+        assert_matches(
+            regularizer_from_draws(sf, theta, ds.x, ds.negatives, noise, 0.7),
+            ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7),
+        )
+        assert calls[-1] == int(((ds.x == 0) & (ds.negatives[:, 0] != 0)).sum())
 
 
 class TestCountVectors:
