@@ -43,8 +43,6 @@ from ncelab.objectives import (
     Workspace,
     _binary_value_grad,
     _row_sum,
-    _scatter_grad,
-    _shifted_table,
     binary_value_grad,
     count_vectors,
     fold_draws,
@@ -1035,7 +1033,7 @@ class TestRankingFold:
 @st.composite
 def heavy_rows(draw):
     """A dataset whose rows hold K >= m_y candidates, so labels repeat within
-    a row. With one-hot features theta is the score table; when ``far`` holds,
+    a row. With one-hot features theta is the score table; in half the draws
     one cell peaks 740 above its context, so that context's rows led by
     another label underflow in the gather and are redone."""
     seed = draw(st.integers(0, 2**31 - 1))
