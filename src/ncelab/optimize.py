@@ -19,13 +19,14 @@ interior; the interval spans any desk-scale partition function). Under
 sum, so gamma is pinned at 0: its gradient entry is left out of the
 direction, of |g| and of the curvature pairs.
 
-Log-bilinear scorers, bare or under ``ContextBias``, keep plain gradient
-ascent in the same loop: the direction is the gradient and the trial step
-is the last accepted one grown 1.1x. Without an L2 penalty the LM
-objectives have no useful optimum: on the first 20% of the bundled corpus,
-300 L-BFGS iterations overfit to valid perplexities of 306.9 (MLE) and
-771.3 (ranking, K=100), against 19.16 and 19.53 after 300 ascent steps.
-Their fits are read at the early-stopping point that ascent defines.
+``FitConfig.l2`` = lambda subtracts (lambda/2)|theta|^2 from the objective;
+gamma is never penalized. Tabular fits keep lambda = 0, since a penalty
+would bias the consistency claims. The log-bilinear LM needs one:
+unpenalized, its objectives have no useful optimum (300 iterations on the
+first 20% of the bundled corpus overfit to valid perplexities of 306.9 for
+MLE and 771.3 for ranking at K=100), while at lambda = 3e-3 the three LM
+fits of acceptance criterion c9 converge to |g| <= 1e-5 within 2,100
+iterations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitializationError, ValidationError
-from .model import ConditionalProblem, ContextBias, LogBilinear, ScoringFunction
+from .model import ConditionalProblem, ContextBias, ScoringFunction
 from .objectives import (
     BinaryParams,
     RegularizerConfig,
@@ -57,7 +58,6 @@ from .objectives import (
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
 OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-binary")
-_INITIAL_STEP = 1.0  # first step of log-bilinear ascent
 _MIN_STEP = 1e-18
 _ARMIJO = 1e-4
 _MEMORY = 10  # L-BFGS curvature pairs kept
@@ -75,6 +75,7 @@ class FitConfig:
     tol: float = 1e-7
     init: str = "zeros"
     seed: int = 0
+    l2: float = 0.0  # weight lambda of the penalty (lambda/2)|theta|^2
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -83,15 +84,19 @@ class FitConfig:
             )
         if self.tol <= 0:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ValidationError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.init not in ("zeros", "gaussian"):
             raise ValidationError(f"init must be 'zeros' or 'gaussian', got '{self.init}'")
 
     def digest(self) -> str:
-        payload = {k: v for k, v in self.__dict__.items() if k != "reg"}
+        payload = {k: v for k, v in self.__dict__.items() if k not in ("reg", "l2")}
         if self.reg is not None:
             payload["reg"] = self.reg.__dict__
+        if self.l2:
+            payload["l2"] = self.l2
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True, default=str).encode()
         ).hexdigest()[:16]
@@ -167,15 +172,16 @@ def _make_value_grad(sf, data, noise, cfg):
         if cfg.objective == "ranking":
             # ranking and penalty weights end to end: one bincount, one accumulate_grad
             shared = shared_workspaces([(keys.index, keys.mult), folded], exp_table)
-            return lambda params: regularized_ranking_value_grad(
-                sf, params, data, noise, draws, cfg.reg.alpha, shared
-            )
-        reg_ws = Workspace(*folded, exp_table)
+        else:
+            reg_ws = Workspace(*folded, exp_table)
     elif cfg.objective == "ranking":
         ws = Workspace(keys.index, keys.mult, np.empty((sf.m_x, sf.m_y)))
-    value_grad = {
+    loss_value_grad = {
         "mle": lambda params: mle_value_grad(sf, params, data),
         "ranking": lambda params: ranking_value_grad(sf, params, data, noise, ws),
+        "regularized-ranking": lambda params: regularized_ranking_value_grad(
+            sf, params, data, noise, draws, cfg.reg.alpha, shared
+        ),
         "binary": lambda params: binary_value_grad(sf, split(params), data, noise),
         "population-ranking": lambda params: population_ranking_value_grad(
             sf, params, data, noise, cfg.k
@@ -183,22 +189,25 @@ def _make_value_grad(sf, data, noise, cfg):
         "population-binary": lambda params: population_binary_value_grad(
             sf, split(params), data, noise, cfg.k
         ),
-    }[cfg.objective]
-    if not regularized:
-        return value_grad
-    has_gamma = _binary_tag(cfg.objective)
+    }["regularized-ranking" if regularized and cfg.objective == "ranking" else cfg.objective]
+    subtract_reg = regularized and cfg.objective != "ranking"
+    if not (subtract_reg or cfg.l2):
+        return loss_value_grad
+    n = sf.n_params  # gamma, when present, is the last coordinate: neither term touches it
 
-    def regularized_value_grad(params):
-        theta = params[:-1] if has_gamma else params
-        value, grad = value_grad(params)
-        reg_value, reg_grad = regularizer_from_draws(
-            sf, theta, data.x, draws, noise, cfg.reg.alpha, reg_ws
-        )
-        if has_gamma:
-            reg_grad = np.concatenate([reg_grad, [0.0]])
-        return value - reg_value, grad - reg_grad
+    def value_grad(params):
+        value, grad = loss_value_grad(params)
+        theta = params[:n]
+        if subtract_reg:
+            reg_value, reg_grad = regularizer_from_draws(
+                sf, theta, data.x, draws, noise, cfg.reg.alpha, reg_ws
+            )
+            value, grad[:n] = value - reg_value, grad[:n] - reg_grad
+        if cfg.l2:
+            value, grad[:n] = value - 0.5 * cfg.l2 * (theta @ theta), grad[:n] - cfg.l2 * theta
+        return value, grad
 
-    return regularized_value_grad
+    return value_grad
 
 
 def _initial_params(sf, cfg):
@@ -215,13 +224,6 @@ def _clamp_gamma(params, cfg):
     if _binary_tag(cfg.objective):
         params[-1] = np.clip(params[-1], *_GAMMA_RANGE)
     return params
-
-
-def _ascent_only(sf: ScoringFunction) -> bool:
-    """Log-bilinear scorers, bare or under ``ContextBias``, keep gradient
-    ascent: the unpenalized LM objectives have no useful optimum, and their
-    fits are read at the early-stopping point that ascent defines."""
-    return isinstance(sf.inner if isinstance(sf, ContextBias) else sf, LogBilinear)
 
 
 def _search_direction(grad, grad_norm, pairs):
@@ -261,9 +263,8 @@ def fit(
     parameters, gamma left out (it must not mutate theta).
     """
     has_gamma = _binary_tag(cfg.objective)
-    ascent = _ascent_only(sf)
     # gamma and the mean of the c_x enter the binary logit only as a sum
-    pin_gamma = has_gamma and isinstance(sf, ContextBias) and not ascent
+    pin_gamma = has_gamma and isinstance(sf, ContextBias)
     value_grad = _make_value_grad(sf, data, noise, cfg)
     params = _initial_params(sf, cfg)
     if pin_gamma:
@@ -281,7 +282,6 @@ def fit(
         raise InitializationError(
             f"objective non-finite at the initial point (value={value!r})"
         )
-    step = _INITIAL_STEP
     grad_norm = float(np.linalg.norm(grad))
     trace_detail = [(0, value, grad_norm, 0.0)]
     pairs: deque = deque(maxlen=_MEMORY)
@@ -291,11 +291,8 @@ def fit(
     for iteration in range(1, cfg.max_iters + 1):
         if grad_norm <= cfg.tol:
             break
-        if ascent:
-            direction, slope = grad, grad_norm**2  # step carried from the last iteration
-        else:
-            direction, slope = _search_direction(grad, grad_norm, pairs)
-            step = 1.0 if pairs else 1.0 / grad_norm
+        direction, slope = _search_direction(grad, grad_norm, pairs)
+        step = 1.0 if pairs else 1.0 / grad_norm
         while True:
             candidate = _clamp_gamma(params + step * direction, cfg)
             new_value, new_grad = evaluate(candidate)
@@ -320,16 +317,14 @@ def fit(
                 break
         if stalled:
             break
-        if not ascent:
-            s, y = candidate - params, grad - new_grad
-            sy = float(s @ y)
-            if sy > _CURVATURE * float(y @ y):
-                pairs.append((s, y, 1.0 / sy))
+        s, y = candidate - params, grad - new_grad
+        sy = float(s @ y)
+        if sy > _CURVATURE * float(y @ y):
+            pairs.append((s, y, 1.0 / sy))
         params, value, grad = candidate, new_value, new_grad
         grad_norm = float(np.linalg.norm(grad))
         iterations = iteration
         trace_detail.append((iteration, value, grad_norm, step))
-        step *= 1.1  # ascent's next trial step; L-BFGS sets its own
         if callback is not None:
             callback(iteration, params[:-1] if has_gamma else params)
     converged = grad_norm <= cfg.tol

@@ -453,7 +453,12 @@ class TestAcceptance:
             "criterion 9 (LM analogue)",
             f"ppl mle {mle.valid_ppl:.2f} vs ranking {rank.valid_ppl:.2f} "
             f"(gap {rel_gap:.3f} <= 0.05); Var[log Z] {rank.log_z_var:.3f} -> "
-            f"{reg.log_z_var:.4f} ({ratio:.0f}x >= 10x)",
+            f"{reg.log_z_var:.4f} ({ratio:.0f}x >= 10x); "
+            f"{sum(r.fit.converged for r in (mle, rank, reg))} of 3 fits converged, "
+            + ", ".join(
+                f"{name} converged={r.fit.converged} |g| {r.fit.grad_norm:.1e}"
+                for name, r in (("mle", mle), ("ranking", rank), ("regularized", reg))
+            ),
             t0,
             600.0,
         )

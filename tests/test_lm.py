@@ -132,6 +132,15 @@ class TestExperiment:
         assert reg.reg_penalty_sampled is not None
         assert reg.reg_target_exact is not None
 
+    @pytest.mark.parametrize(
+        "loss", [dict(loss="mle"), dict(loss="ranking", k=8), dict(loss="ranking", k=8, reg_alpha=1.0)],
+        ids=["mle", "ranking", "regularized"],
+    )
+    def test_fit_reaches_its_optimum_under_the_penalty(self, loss):
+        rep = run_lm_experiment(SMALL_TEXT, LmConfig(dim=8, max_iters=1000, seed=1, **loss))
+        # unpenalized, these fits ran 1,000 ascent steps without reaching |g| <= tol
+        assert rep.fit.converged and rep.fit.grad_norm <= LmConfig().tol
+
     def test_each_split_is_encoded_once(self, monkeypatch):
         encoded = []
         positions = HistoryTable.positions

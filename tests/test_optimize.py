@@ -12,6 +12,7 @@ from ncelab import (
     FitConfig,
     InitializationError,
     LinearFeatures,
+    LogBilinear,
     NoiseDistribution,
     RegularizerConfig,
     SamplingConfig,
@@ -22,8 +23,9 @@ from ncelab import (
     generate_dataset,
     make_synthetic_problem,
     random_tabular_problem,
+    sample_negatives,
 )
-from ncelab import objectives, optimize
+from ncelab import lm, objectives, optimize
 
 
 class TestCounterexampleFits:
@@ -62,6 +64,18 @@ class TestCounterexampleFits:
                     best, best_val = np.array([a, b]), val
         assert report.final_objective >= best_val - 1e-9
         assert np.max(np.abs(report.theta - best)) <= (grid[1] - grid[0])
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("l2", [-1e-3, np.nan, np.inf])
+    def test_l2_must_be_finite_and_nonnegative(self, l2):
+        with pytest.raises(ValidationError, match="l2"):
+            FitConfig(objective="mle", l2=l2)
+
+    def test_digest_leaves_out_a_zero_penalty(self):
+        # the value before l2 existed: no tabular report's bytes move
+        assert FitConfig(objective="ranking").digest() == "0be03e47a2123df8"
+        assert FitConfig(objective="ranking", l2=1e-3).digest() != "0be03e47a2123df8"
 
 
 class TestFitMechanics:
@@ -204,10 +218,18 @@ class TestConsistencyFits:
         # stopped at 2,500 iterations with |g| 7.2e-4
         noise = NoiseDistribution.uniform(20)
         ds = generate_dataset(problem, 5000, SamplingConfig(k=4, seed=1205), noise)
-        cfg = FitConfig(objective="binary", tol=1e-6, max_iters=2500)
-        report = fit(ContextBias(problem.scoring), ds, noise, cfg)
-        assert report.converged and report.iterations < 2500
-        assert report.gamma == 0.0
+        linear = FitConfig(objective="binary", tol=1e-6, max_iters=2500)
+        # the LM's scorer, start and penalty, each context a one-word history
+        log_bilinear = FitConfig(
+            objective="binary", tol=1e-6, max_iters=2500, init="gaussian", seed=3, l2=lm._L2
+        )
+        for sf, cfg in [
+            (problem.scoring, linear),
+            (LogBilinear(np.arange(50)[:, None] % 20, 20, 4), log_bilinear),
+        ]:
+            report = fit(ContextBias(sf), ds, noise, cfg)
+            assert report.converged and report.iterations < 2500
+            assert report.gamma == 0.0
 
 
 class TestGaugeNeutrality:
@@ -264,6 +286,18 @@ class TestWorkspace:
         assert all(ref() is None for ref in built)
 
 
+def _assert_central_differences(sf, data, noise, cfg, params, h=1e-6):
+    """The fit's gradient at params, checked against central differences of its value."""
+    value_grad = optimize._make_value_grad(sf, data, noise, cfg)
+    grad = value_grad(params)[1]
+    numeric = [
+        (value_grad(params + h * e)[0] - value_grad(params - h * e)[0]) / (2 * h)
+        for e in np.eye(params.size)
+    ]
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+    return grad
+
+
 class TestDatasetObjectives:
     @pytest.mark.parametrize("objective", ["ranking", "binary", "mle"])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -280,23 +314,27 @@ class TestDatasetObjectives:
         noise = NoiseDistribution.uniform(4)
         data = generate_dataset(p, 300, SamplingConfig(k=2, seed=3), noise)
         reg = RegularizerConfig(alpha=0.5, m=3, seed=2)
-        value_grad = optimize._make_value_grad(
-            p.scoring, data, noise, FitConfig(objective="binary", k=2, reg=reg)
-        )
         params = np.array([0.3, -0.2, 0.4])
-        value, grad = value_grad(params)
-        h = 1e-6
-        numeric = [
-            (value_grad(params + h * e)[0] - value_grad(params - h * e)[0]) / (2 * h)
-            for e in np.eye(3)
-        ]
-        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
-        # the penalty does not depend on gamma
         plain = optimize._make_value_grad(
             p.scoring, data, noise, FitConfig(objective="binary", k=2)
         )(params)[1]
-        assert grad[-1] == plain[-1]
-        assert not np.allclose(grad[:-1], plain[:-1])
+        for l2 in (0.0, 0.2):
+            cfg = FitConfig(objective="binary", k=2, reg=reg, l2=l2)
+            grad = _assert_central_differences(p.scoring, data, noise, cfg, params)
+            # neither penalty depends on gamma
+            assert grad[-1] == plain[-1]
+            assert not np.allclose(grad[:-1], plain[:-1])
+
+    def test_penalized_log_bilinear_gradient_matches_central_differences(self):
+        sf = LogBilinear(np.array([[0], [2], [3]]), 4, 2)
+        noise = NoiseDistribution.uniform(4)
+        negatives = sample_negatives(SamplingConfig(k=3, seed=4), noise, 5)
+        data = Dataset(x=[0, 1, 2, 2, 1], y=[1, 3, 0, 2, 2], negatives=negatives, provenance={})
+        params = 0.5 * np.random.default_rng(7).standard_normal(sf.n_params)
+        plain = optimize._make_value_grad(sf, data, noise, FitConfig(objective="ranking", k=3))
+        cfg = FitConfig(objective="ranking", k=3, l2=0.2)
+        grad = _assert_central_differences(sf, data, noise, cfg, params)
+        np.testing.assert_allclose(grad, plain(params)[1] - 0.2 * params, rtol=1e-12, atol=1e-15)
 
     def test_callback_sees_theta_without_gamma(self):
         p = random_tabular_problem(3, 4, 2, seed=5)
