@@ -331,8 +331,12 @@ class TestDatasetObjectives:
         negatives = sample_negatives(SamplingConfig(k=3, seed=4), noise, 5)
         data = Dataset(x=[0, 1, 2, 2, 1], y=[1, 3, 0, 2, 2], negatives=negatives, provenance={})
         params = 0.5 * np.random.default_rng(7).standard_normal(sf.n_params)
-        plain = optimize._make_value_grad(sf, data, noise, FitConfig(objective="ranking", k=3))
-        cfg = FitConfig(objective="ranking", k=3, l2=0.2)
+        # the LM's regularized ranking fit: one kernel for both softmaxes, then the penalty
+        reg = RegularizerConfig(alpha=0.5, m=2, seed=1)
+        plain = optimize._make_value_grad(
+            sf, data, noise, FitConfig(objective="ranking", k=3, reg=reg)
+        )
+        cfg = FitConfig(objective="ranking", k=3, reg=reg, l2=0.2)
         grad = _assert_central_differences(sf, data, noise, cfg, params)
         np.testing.assert_allclose(grad, plain(params)[1] - 0.2 * params, rtol=1e-12, atol=1e-15)
 
