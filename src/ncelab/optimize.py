@@ -24,7 +24,7 @@ gamma is never penalized. Tabular fits keep lambda = 0, since a penalty
 would bias the consistency claims. The log-bilinear LM needs one:
 unpenalized, its objectives have no useful optimum (300 iterations on the
 first 20% of the bundled corpus overfit to valid perplexities of 306.9 for
-MLE and 771.3 for ranking at K=100), while at lambda = 3e-3 the three LM
+MLE and 987.3 for ranking at K=100), while at lambda = 3e-3 the three LM
 fits of acceptance criterion c9 converge to |g| <= 1e-5 within 2,100
 iterations.
 """
