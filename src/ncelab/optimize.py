@@ -165,14 +165,18 @@ def _make_value_grad(sf, data, noise, cfg):
     def split(params):
         return BinaryParams(params[:-1], float(params[-1]))
 
+    loss = cfg.objective  # the key of the loss below
+    subtract_reg = False  # whether the regularizer is subtracted after the loss
     if regularized:
         draws = regularizer_draws(data, noise, cfg.reg)
         folded = fold_draws(data.x, draws, sf.m_y)
         exp_table = np.empty((sf.m_x, sf.m_y))
         if cfg.objective == "ranking":
             # ranking and penalty weights end to end: one bincount, one accumulate_grad
+            loss = "regularized-ranking"
             shared = shared_workspaces([(keys.index, keys.mult), folded], exp_table)
         else:
+            subtract_reg = True
             reg_ws = Workspace(*folded, exp_table)
     elif cfg.objective == "ranking":
         ws = Workspace(keys.index, keys.mult, np.empty((sf.m_x, sf.m_y)))
@@ -189,8 +193,7 @@ def _make_value_grad(sf, data, noise, cfg):
         "population-binary": lambda params: population_binary_value_grad(
             sf, split(params), data, noise, cfg.k
         ),
-    }["regularized-ranking" if regularized and cfg.objective == "ranking" else cfg.objective]
-    subtract_reg = regularized and cfg.objective != "ranking"
+    }[loss]
     if not (subtract_reg or cfg.l2):
         return loss_value_grad
     n = sf.n_params  # gamma, when present, is the last coordinate: neither term touches it

@@ -138,7 +138,6 @@ class TestExperiment:
     )
     def test_fit_reaches_its_optimum_under_the_penalty(self, loss):
         rep = run_lm_experiment(SMALL_TEXT, LmConfig(dim=8, max_iters=1000, seed=1, **loss))
-        # unpenalized, these fits ran 1,000 ascent steps without reaching |g| <= tol
         assert rep.fit.converged and rep.fit.grad_norm <= LmConfig().tol
 
     def test_each_split_is_encoded_once(self, monkeypatch):

@@ -205,7 +205,6 @@ class TestConsistencyFits:
         return make_synthetic_problem(d=4, m_x=50, m_y=20, seed=42)
 
     def test_small_ranking_fit_converges(self, problem):
-        # plain gradient ascent stopped this fit unconverged at 5,000 iterations
         noise = NoiseDistribution.uniform(20)
         ds = generate_dataset(problem, 5000, SamplingConfig(k=4, seed=2), noise)
         cfg = FitConfig(objective="ranking", tol=1e-6, max_iters=2500)
@@ -213,9 +212,8 @@ class TestConsistencyFits:
         assert report.converged and report.grad_norm <= 1e-6
 
     def test_context_bias_binary_fit_converges_with_gamma_pinned(self, problem):
-        # gamma and the mean of the c_x enter the logit only as a sum; with
-        # gamma free, gradient ascent crawled along that direction and
-        # stopped at 2,500 iterations with |g| 7.2e-4
+        # gamma and the mean of the c_x enter the logit only as a sum, so the
+        # fit pins gamma at 0 and converges along the other coordinates
         noise = NoiseDistribution.uniform(20)
         ds = generate_dataset(problem, 5000, SamplingConfig(k=4, seed=1205), noise)
         linear = FitConfig(objective="binary", tol=1e-6, max_iters=2500)
