@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import NceLabError, SingularMatrixError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params, self_norm_deviation
 from .objectives import (
     _check_k,
@@ -295,7 +295,7 @@ def binary_asymptotic_cov(
             f"binary covariance needs a self-normalized problem; "
             f"sum_y exp(s - gamma*) deviates from 1 by {worst:.3e}"
         )
-    sig = binary_logit(sf, theta_star, noise, gamma_star, k)[1]
+    sig = binary_logit(_shifted_table(sf, theta_star, noise), gamma_star, k)[1]
     grads = sf.grad_table(theta_star)
     d = sf.n_params
     ext = np.concatenate([grads, -np.ones((sf.m_x, sf.m_y, 1))], axis=2)
@@ -389,8 +389,8 @@ def replicate(
         dataset = generate_dataset(problem, n, SamplingConfig(k=k, seed=seed), data_noise)
         try:
             report = fit(sf, dataset, noise, fit_cfg)
-        except Exception as exc:
-            raise ValidationError(f"replication {r} failed: {exc}") from exc
+        except NceLabError as exc:  # the same class, so the CLI keeps its exit code
+            raise type(exc)(f"replication {r} failed: {exc}") from exc
         if report.stalled:
             raise ValidationError(f"replication {r} stalled: {report.message}")
         devs[r] = np.sqrt(n) * (report.theta - theta_star)

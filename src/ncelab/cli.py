@@ -110,7 +110,7 @@ def cmd_fit(args, manifest):
         )
     sf = ContextBias(problem.scoring) if args.context_bias else problem.scoring
     reg = None
-    if args.reg_alpha > 0:
+    if args.reg_alpha != 0:  # RegularizerConfig rejects a negative or NaN alpha
         reg = RegularizerConfig(alpha=args.reg_alpha, m=args.reg_m, seed=args.seed, stream=3)
     cfg = FitConfig(
         objective=args.estimator,

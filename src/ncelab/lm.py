@@ -195,7 +195,7 @@ def run_lm_experiment(text: str, cfg: LmConfig) -> LmReport:
     )
 
     reg = None
-    if cfg.reg_alpha > 0.0:
+    if cfg.reg_alpha != 0.0:  # RegularizerConfig rejects a negative or NaN alpha
         m = cfg.reg_m if cfg.reg_m is not None else max(1, vocab.size // 10)
         reg = RegularizerConfig(alpha=cfg.reg_alpha, m=m, seed=cfg.seed, stream=2)
 

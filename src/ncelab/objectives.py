@@ -6,9 +6,12 @@ Conventions:
 * The shifted score is shat(x,y) = s(x,y;theta) - log p_N(y); the binary
   classifier's logit is stilde = shat - gamma - log K, so the positive
   class probability is g = sigmoid(stilde).
-* Each objective has one ``*_value_grad`` function that builds the score
-  table, the candidate gather and the softmax once and returns
-  (value, gradient); the ``*_objective`` / ``*_gradient`` names project it.
+* Every objective, with or without the log Z penalty and the L2 term, is
+  evaluated by one pass, ``value_grad_fn``: one score table, one
+  row-shifted exp table when a sampled softmax needs one, one (m_x, m_y)
+  table of weights on grad s that the loss and the penalty both write
+  into, and one ``accumulate_grad``. Each ``*_value_grad`` function builds
+  it for one call; the ``*_objective`` / ``*_gradient`` names project that.
 * Every sampled objective reads the dataset folded by what its loss
   depends on, as counts divided by n. MLE reads how often each cell
   (x, y) is an observed pair (``Dataset.tables`` positives). Binary reads
@@ -34,15 +37,14 @@ Conventions:
   exp underflows there or that meet a non-finite score are redone per row
   on the scores plus log multiplicities, so they stay exact and a
   non-finite score still gives a non-finite value.
-* A ``Workspace`` holds their buffers (gather, first exps, row sums, exp
-  table). ``optimize._make_value_grad`` builds one per fit, which dies with
-  the fit, and the public functions one per call, so no evaluation of a fit
-  faults in fresh pages for a new gather. Its index is bounds-checked
-  once, so the gather runs ``np.take(..., out=e, mode="clip")``:
-  ``mode="raise"`` takes into a temporary copied to ``out``, and the faults
-  return. A regularized ranking fit lays its two layouts end to end
-  (``shared_workspaces``): one exp table, one ``np.bincount`` and one
-  ``accumulate_grad`` per evaluation.
+* A ``Workspace`` holds one layout's buffers (gather, first exps, row
+  sums). ``value_grad_fn`` builds them once, so a fit's live as long as the
+  fit and no evaluation faults in fresh pages for a new gather. The
+  layouts of one pass (ranking keys, penalty draws) lie end to end in one
+  flat index and one buffer, so one ``np.bincount`` scatters both. Each
+  index is bounds-checked once, so the gather runs ``np.take(..., out=e,
+  mode="clip")``: ``mode="raise"`` takes into a temporary copied to
+  ``out``, and the faults return.
 
 Posterior bookkeeping for a candidate tuple (x, ybar_0..ybar_K): q is the
 model posterior over which slot holds the true label, beta the posterior
@@ -61,7 +63,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params, log_softmax_rows
-from .sampling import Dataset, NoiseDistribution, RankingKeys, derive_rng, fold_candidates
+from .sampling import Dataset, NoiseDistribution, derive_rng, fold_candidates
 
 TERM_BUDGET = 10**7
 _COUNT_BLOCK = 1 << 16  # cells per block of count vectors, exact or sampled
@@ -107,8 +109,8 @@ class RegularizerConfig:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValidationError(f"regularizer alpha must be >= 0, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValidationError(f"regularizer alpha must be finite and >= 0, got {self.alpha}")
         if self.m < 1:
             raise ValidationError(f"regularizer m must be >= 1, got {self.m}")
 
@@ -117,14 +119,6 @@ def _shifted_table(sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribut
     if noise.size != sf.m_y:
         raise ValidationError(f"noise size {noise.size} != label count {sf.m_y}")
     return sf.score_table(theta) - noise.log_probs[None, :]
-
-
-def _scatter_grad(
-    sf: ScoringFunction, theta: np.ndarray, index: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Sum per-candidate weights into the (m_x, m_y) table by flat cell index and backprop."""
-    flat = np.bincount(index.ravel(), weights=weights.ravel(), minlength=sf.m_x * sf.m_y)
-    return sf.accumulate_grad(theta, flat.reshape(sf.m_x, sf.m_y))
 
 
 def _row_sum(e: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -139,31 +133,22 @@ def _row_sum(e: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class Workspace:
     """One fit's buffers for a sampled softmax over a fixed folded layout: (rows, W)
-    flat cells x * m_y + label and their multiplicities ``mult`` (``fold_candidates``).
-    The fit's workspaces share one (m_x, m_y) ``exp_table``; ``e``, when given, is a
-    flat slice of a buffer that ``shared_workspaces`` lays several layouts end to end in."""
+    flat cells x * m_y + label of an (m_x, m_y) table of ``shape`` and their
+    multiplicities ``mult`` (``fold_candidates``). ``e`` is the layout's flat slice
+    of the buffer that ``_workspaces`` lays a fit's layouts end to end in."""
 
-    def __init__(
-        self, index: np.ndarray, mult: np.ndarray, exp_table: np.ndarray, e: np.ndarray | None = None
-    ) -> None:
-        if index.size and (index.min() < 0 or index.max() >= exp_table.size):
-            raise IndexError(f"candidate index out of bounds for a {exp_table.shape} score table")
-        self.index, self.mult, self.exp_table = index, mult, exp_table
-        self.e = np.empty(index.shape) if e is None else e.reshape(index.shape)
+    def __init__(self, index: np.ndarray, mult: np.ndarray, shape: tuple[int, int], e: np.ndarray):
+        if index.size and (index.min() < 0 or index.max() >= shape[0] * shape[1]):
+            raise IndexError(f"candidate index out of bounds for a {shape} score table")
+        self.index, self.mult, self.e = index, mult, e.reshape(index.shape)
         self.first, self.s = np.empty(index.shape[0]), np.empty(index.shape[0])
-
-    def shifted_scores(self, sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribution):
-        """The shifted table shat and exp(shat - its row maximum), the latter in ``exp_table``."""
-        shat = _shifted_table(sf, theta, noise)
-        np.subtract(shat, shat.max(axis=1)[:, None], out=self.exp_table)
-        return shat, np.exp(self.exp_table, out=self.exp_table)
 
     def gather(self, table: np.ndarray, exp_table: np.ndarray):
         """Row log-sum-exp of the candidates, with their softmax unnormalized.
 
         Each index row holds one context's cells (ranking keys and regularizer
         draws do); ``exp_table`` is ``table`` exponentiated once, each row shifted
-        by its maximum (``shifted_scores``). Returns (lse, e, s): e the gathered
+        by its maximum. Returns (lse, e, s): e the gathered
         values times their multiplicities and s their row sums, this workspace's
         buffers; e / s[:, None] is each cell's share of the softmax, and pads hold 0.
 
@@ -190,16 +175,19 @@ class Workspace:
         return lse, e, s
 
 
-def shared_workspaces(layouts, exp_table: np.ndarray):
-    """Workspaces over several folded (index, mult) layouts, their cells and
+def _workspaces(layouts, shape: tuple[int, int]):
+    """Workspaces over a fit's folded (index, mult) layouts, their cells and
     gathered values laid end to end in one flat index and one flat buffer, so
-    that one ``np.bincount`` scatters all their weights. Returns (workspaces,
-    flat index, flat buffer)."""
-    index = np.concatenate([cells.ravel() for cells, _ in layouts])
+    that one ``np.bincount`` scatters all their weights; a single layout keeps
+    its own index. Returns (workspaces, flat index, flat buffer)."""
+    if len(layouts) == 1:
+        index = layouts[0][0].ravel()
+    else:
+        index = np.concatenate([cells.ravel() for cells, _ in layouts])
     e = np.empty(index.size)
     ends = np.cumsum([cells.size for cells, _ in layouts])
     workspaces = [
-        Workspace(index[end - cells.size:end].reshape(cells.shape), mult, exp_table,
+        Workspace(index[end - cells.size:end].reshape(cells.shape), mult, shape,
                   e[end - cells.size:end])
         for (cells, mult), end in zip(layouts, ends)
     ]
@@ -217,62 +205,148 @@ def _check_k(k: int) -> None:
 
 
 # --------------------------------------------------------------------------
+# the value-and-gradient pass
+
+
+def binary_logit(shat: np.ndarray, gamma: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classifier's logit stilde = shat - gamma - log K over every cell, and
+    its positive-class probability g = sigmoid(stilde)."""
+    stilde = shat - gamma - np.log(k)
+    with np.errstate(over="ignore"):
+        return stilde, 1.0 / (1.0 + np.exp(-stilde))
+
+
+def _binary_terms(shat, gamma, k, w_pos, w_neg) -> tuple[float, np.ndarray]:
+    """sum_{x,y} w_pos log g + w_neg log(1 - g) and its weights on grad s."""
+    stilde, sig = binary_logit(shat, gamma, k)
+    log_g, log_1mg = -np.logaddexp(0.0, -stilde), -np.logaddexp(0.0, stilde)
+    value = float((w_pos * log_g).sum() + (w_neg * log_1mg).sum())
+    return value, w_pos * (1.0 - sig) - w_neg * sig
+
+
+def value_grad_fn(
+    sf: ScoringFunction, data, noise: NoiseDistribution | None, objective: str | None,
+    k: int = 1, draws: np.ndarray | None = None, alpha: float = 0.0, l2: float = 0.0,
+):
+    """Closure params -> (value, grad) of ``objective`` minus the log Z penalty
+    and minus (l2/2)|theta|^2: the one value-and-gradient pass of every fit and
+    every ``*_value_grad``.
+
+    ``data`` is a Dataset, or a ConditionalProblem for the population
+    objectives; ``k`` is their K (a dataset carries its own). ``params`` is
+    theta, with gamma appended for the binary objectives; neither penalty
+    touches gamma. When alpha > 0 the penalty (alpha/n) sum_i (log mean_j
+    exp shat(x_i, draws_ij))^2 runs over the (n, m) ``draws`` of ``data.x``;
+    its inner mean estimates Z(x_i; theta), so it pushes log Z toward 0.
+    ``objective`` None leaves the penalty alone.
+
+    Each call makes one score table, one row-shifted exp table when a sampled
+    softmax needs one, one (m_x, m_y) table of weights on grad s that the loss
+    and the penalty both write into, and one ``accumulate_grad``. MLE's table
+    is in counts, its gradient divided by n after ``accumulate_grad``. The
+    sampled softmaxes' folded layouts (ranking keys, penalty draws) share one
+    flat buffer, scattered into the table by one ``np.bincount``.
+    """
+    shape = (sf.m_x, sf.m_y)
+    if noise is not None and noise.size != sf.m_y:
+        raise ValidationError(f"noise size {noise.size} != label count {sf.m_y}")
+    has_gamma = objective in ("binary", "population-binary")
+    layouts, loss, unit = [], None, 1.0  # the table holds unit times the weights on grad s
+    if objective == "mle":
+        counts, unit = data.tables(*shape).positives, data.n
+        row_counts = counts.sum(axis=1)[:, None]
+
+        def loss(s, shat, gamma):
+            log_p = log_softmax_rows(s)[1]
+            return float(np.mean(log_p[data.x, data.y])), counts - row_counts * np.exp(log_p)
+    elif objective == "ranking":
+        keys = data.ranking_keys(*shape)
+        layouts.append((keys.index, keys.mult))
+        weight = keys.counts / data.n
+
+        def loss(s, shat, gamma):
+            ws = workspaces[0]
+            lse, coeff, row_sum = ws.gather(shat, exp_table)
+            coeff *= (-weight / row_sum)[:, None]
+            coeff[:, 0] += weight
+            value = float(np.sum(keys.counts * (shat.ravel()[ws.index[:, 0]] - lse)) / data.n)
+            return value, None
+    elif objective == "population-ranking":
+        _check_k(k)
+        terms = data.m_x * data.m_y * math.comb(data.m_y + k - 1, k)
+        check_term_budget(terms, "ranking objective")
+
+        def loss(s, shat, gamma):
+            total, table = 0.0, np.zeros(shape)
+            blocks = count_vectors(noise.log_probs, k)
+            for x, w, log_q, q, r, mass in ranking_count_terms(data, shat, blocks):
+                total += float((w * log_q).sum())
+                table[x] += (w * (1.0 - q)).sum(axis=1) - (w * r).sum(axis=0) @ mass
+            return total, table
+    elif has_gamma:
+        if objective == "binary":
+            tables = data.tables(*shape)
+            k, w_pos, w_neg = data.k, tables.positives / data.n, tables.negatives / data.n
+        else:
+            _check_k(k)
+            w_pos, w_neg = data.p_xy, k * data.p_x[:, None] * noise.probs[None, :]
+
+        def loss(s, shat, gamma):
+            return _binary_terms(shat, gamma, k, w_pos, w_neg)
+    if alpha > 0:
+        layouts.append(fold_draws(data.x, draws, sf.m_y))
+        n, m = draws.shape
+        reg_scale = -2.0 * alpha * unit / n
+    if layouts:
+        workspaces, index, e = _workspaces(layouts, shape)
+        exp_table = np.empty(shape)
+    shifted = objective != "mle" or alpha > 0
+
+    def value_grad(params):
+        theta = check_params(params[:-1] if has_gamma else params, sf.n_params)
+        s = sf.score_table(theta)
+        shat = s - noise.log_probs[None, :] if shifted else s
+        if layouts:
+            np.subtract(shat, shat.max(axis=1)[:, None], out=exp_table)
+            np.exp(exp_table, out=exp_table)
+        value, table = loss(s, shat, params[-1]) if loss else (0.0, None)
+        if has_gamma:
+            d_gamma = -float(table.sum())
+        if alpha > 0:
+            lse, coeff, row_sum = workspaces[-1].gather(shat, exp_table)
+            log_zhat = lse - np.log(m)
+            coeff *= (reg_scale * log_zhat / row_sum)[:, None]
+            value -= float(alpha / n * np.sum(log_zhat**2))
+        if layouts:
+            flat = np.bincount(index, weights=e, minlength=s.size).reshape(shape)
+            table = flat if table is None else table + flat
+        grad = sf.accumulate_grad(theta, table)
+        if unit != 1.0:
+            grad /= unit
+        if has_gamma:
+            grad = np.append(grad, d_gamma)
+        if l2:
+            value -= 0.5 * l2 * (theta @ theta)
+            grad[:sf.n_params] -= l2 * theta
+        return value, grad
+
+    return value_grad
+
+
+# --------------------------------------------------------------------------
 # sampled objectives
 
 
-def _ranking_terms(ws: Workspace, keys: RankingKeys, n: int, scores) -> tuple[float, np.ndarray]:
-    """The ranking value and, in ``ws.e``, each folded candidate's gradient weight."""
-    shat, exp_table = scores
-    lse, coeff, row_sum = ws.gather(shat, exp_table)
-    weight = keys.counts / n
-    coeff *= (-weight / row_sum)[:, None]
-    coeff[:, 0] += weight
-    return float(np.sum(keys.counts * (shat.ravel()[ws.index[:, 0]] - lse)) / n), coeff
-
-
 def ranking_value_grad(
-    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution,
-    ws: Workspace | None = None,
+    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
 ) -> tuple[float, np.ndarray]:
     """Mean log-probability of ranking the true label above its negatives, and its gradient.
 
     One pass over the dataset's distinct (x, y, sorted negatives) keys of
     ``Dataset.ranking_keys``, each term weighted by the key's count and each
-    key's candidates folded into its distinct cells. ``ws`` (a Workspace over
-    those keys) is built for this call when not given.
+    key's candidates folded into its distinct cells.
     """
-    keys = dataset.ranking_keys(sf.m_x, sf.m_y)
-    ws = ws or Workspace(keys.index, keys.mult, np.empty((sf.m_x, sf.m_y)))
-    theta = check_params(theta, sf.n_params)
-    value, coeff = _ranking_terms(ws, keys, dataset.n, ws.shifted_scores(sf, theta, noise))
-    return value, _scatter_grad(sf, theta, ws.index, coeff)
-
-
-def binary_logit(
-    sf: ScoringFunction, theta: np.ndarray, noise: NoiseDistribution, gamma: float, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The classifier's logit stilde = shat - gamma - log K over every cell, and
-    its positive-class probability g = sigmoid(stilde)."""
-    stilde = _shifted_table(sf, theta, noise) - gamma - np.log(k)
-    with np.errstate(over="ignore"):
-        return stilde, 1.0 / (1.0 + np.exp(-stilde))
-
-
-def _binary_value_grad(
-    sf: ScoringFunction,
-    bp: BinaryParams,
-    noise: NoiseDistribution,
-    k: int,
-    w_pos: np.ndarray,
-    w_neg: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """sum_{x,y} w_pos log g + w_neg log(1 - g) and its gradient in (theta, gamma)."""
-    theta = check_params(bp.theta, sf.n_params)
-    stilde, sig = binary_logit(sf, theta, noise, bp.gamma, k)
-    log_g, log_1mg = -np.logaddexp(0.0, -stilde), -np.logaddexp(0.0, stilde)
-    value = float((w_pos * log_g).sum() + (w_neg * log_1mg).sum())
-    weights = w_pos * (1.0 - sig) - w_neg * sig
-    return value, np.concatenate([sf.accumulate_grad(theta, weights), [-float(weights.sum())]])
+    return value_grad_fn(sf, dataset, noise, "ranking")(theta)
 
 
 def binary_value_grad(
@@ -280,22 +354,14 @@ def binary_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean log-likelihood of classifying true pairs vs K noise pairs, and its
     gradient in (theta, gamma); the last coordinate is d/dgamma."""
-    tables = dataset.tables(sf.m_x, sf.m_y)
-    return _binary_value_grad(
-        sf, bp, noise, dataset.k, tables.positives / dataset.n, tables.negatives / dataset.n
-    )
+    return value_grad_fn(sf, dataset, noise, "binary")(np.append(bp.theta, bp.gamma))
 
 
 def mle_value_grad(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset
 ) -> tuple[float, np.ndarray]:
     """Mean log softmax probability of the observed labels (negatives ignored), and its gradient."""
-    counts = dataset.tables(sf.m_x, sf.m_y).positives
-    theta = check_params(theta, sf.n_params)
-    log_p = log_softmax_rows(sf.score_table(theta))[1]
-    weights = counts - counts.sum(axis=1)[:, None] * np.exp(log_p)
-    value = float(np.mean(log_p[dataset.x, dataset.y]))
-    return value, sf.accumulate_grad(theta, weights) / dataset.n
+    return value_grad_fn(sf, dataset, None, "mle")(theta)
 
 
 def ranking_objective(
@@ -467,19 +533,7 @@ def population_ranking_value_grad(
     p_x p(u|x) times its multinomial probability (``ranking_count_terms``).
     The term budget counts the m_x * m_y * C(m_y+K-1, K) terms of this sum.
     """
-    _check_k(k)
-    check_term_budget(
-        problem.m_x * problem.m_y * math.comb(problem.m_y + k - 1, k), "ranking objective"
-    )
-    theta = check_params(theta, sf.n_params)
-    shat = _shifted_table(sf, theta, noise)
-    total = 0.0
-    table = np.zeros((problem.m_x, problem.m_y))
-    blocks = count_vectors(noise.log_probs, k)
-    for x, w, log_q, q, r, mass in ranking_count_terms(problem, shat, blocks):
-        total += float((w * log_q).sum())
-        table[x] += (w * (1.0 - q)).sum(axis=1) - (w * r).sum(axis=0) @ mass
-    return total, sf.accumulate_grad(theta, table)
+    return value_grad_fn(sf, problem, noise, "population-ranking", k)(theta)
 
 
 def population_ranking_objective(
@@ -502,9 +556,7 @@ def population_binary_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Expected binary objective and its gradient; exact, a sum over X x Y
     with positive weights p_xy and negative weights K p_x p_N."""
-    _check_k(k)
-    w_neg = k * problem.p_x[:, None] * noise.probs[None, :]
-    return _binary_value_grad(sf, bp, noise, k, problem.p_xy, w_neg)
+    return value_grad_fn(sf, problem, noise, "population-binary", k)(np.append(bp.theta, bp.gamma))
 
 
 def population_binary_objective(
@@ -519,56 +571,6 @@ def population_binary_objective(
 
 # --------------------------------------------------------------------------
 # self-normalization regularizer
-
-
-def _penalty_terms(ws: Workspace, scores, alpha: float, m: int, sign: float = 1.0):
-    """The penalty (alpha/n) sum_i log_zhat_i**2 over ``ws``'s n folded rows of m
-    draws and, in ``ws.e``, ``sign`` times each folded draw's gradient weight."""
-    n = ws.index.shape[0]
-    lse, coeff, row_sum = ws.gather(*scores)
-    log_zhat = lse - np.log(m)
-    coeff *= ((sign * 2.0 * alpha / n) * log_zhat / row_sum)[:, None]
-    return float(alpha / n * np.sum(log_zhat**2)), coeff
-
-
-def regularizer_from_draws(
-    sf: ScoringFunction, theta: np.ndarray, x_idx: np.ndarray, draws: np.ndarray,
-    noise: NoiseDistribution, alpha: float, ws: Workspace | None = None,
-) -> tuple[float, np.ndarray]:
-    """Penalty (alpha/n) sum_i (log mean_j exp shat(x_i, ytilde_ij))^2 and its gradient.
-
-    The inner mean estimates Z(x_i; theta); the penalty pushes log Z
-    toward 0, i.e. a constant (unit) partition function. ``ws`` (over
-    ``fold_draws(x_idx, draws, m_y)``) is built for this call when not given.
-    """
-    theta = check_params(theta, sf.n_params)
-    n = x_idx.size
-    if alpha == 0.0 or n == 0:
-        return 0.0, np.zeros(sf.n_params)
-    ws = ws or Workspace(*fold_draws(x_idx, draws, sf.m_y), np.empty((sf.m_x, sf.m_y)))
-    value, coeff = _penalty_terms(ws, ws.shifted_scores(sf, theta, noise), alpha, draws.shape[1])
-    return value, _scatter_grad(sf, theta, ws.index, coeff)
-
-
-def regularized_ranking_value_grad(
-    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution,
-    draws: np.ndarray, alpha: float, shared=None,
-) -> tuple[float, np.ndarray]:
-    """``ranking_value_grad`` minus ``regularizer_from_draws`` over ``dataset.x``
-    and ``draws``, from one score table, one exp table, one ``np.bincount`` and
-    one ``accumulate_grad``. ``shared`` is ``shared_workspaces`` over the ranking
-    keys and the folded draws, built for this call when not given.
-    """
-    keys = dataset.ranking_keys(sf.m_x, sf.m_y)
-    (ws, reg_ws), index, weights = shared or shared_workspaces(
-        [(keys.index, keys.mult), fold_draws(dataset.x, draws, sf.m_y)],
-        np.empty((sf.m_x, sf.m_y)),
-    )
-    theta = check_params(theta, sf.n_params)
-    scores = ws.shifted_scores(sf, theta, noise)
-    value, _ = _ranking_terms(ws, keys, dataset.n, scores)
-    penalty, _ = _penalty_terms(reg_ws, scores, alpha, draws.shape[1], sign=-1.0)
-    return value - penalty, _scatter_grad(sf, theta, index, weights)
 
 
 def regularizer_draws(
@@ -587,9 +589,10 @@ def regularizer(
     noise: NoiseDistribution,
     cfg: RegularizerConfig,
 ) -> tuple[float, np.ndarray]:
-    """Sampled squared-log-partition penalty and its analytic gradient."""
+    """Sampled squared-log-partition penalty (``value_grad_fn`` with no loss) and its gradient."""
     theta = check_params(theta, sf.n_params)
     if cfg.alpha == 0.0:
         return 0.0, np.zeros(sf.n_params)
     draws = regularizer_draws(dataset, noise, cfg)
-    return regularizer_from_draws(sf, theta, dataset.x, draws, noise, cfg.alpha)
+    value, grad = value_grad_fn(sf, dataset, noise, None, draws=draws, alpha=cfg.alpha)(theta)
+    return -value, -grad

@@ -40,21 +40,7 @@ import numpy as np
 
 from .errors import InitializationError, ValidationError
 from .model import ConditionalProblem, ContextBias, ScoringFunction
-from .objectives import (
-    BinaryParams,
-    RegularizerConfig,
-    Workspace,
-    binary_value_grad,
-    fold_draws,
-    mle_value_grad,
-    population_binary_value_grad,
-    population_ranking_value_grad,
-    ranking_value_grad,
-    regularized_ranking_value_grad,
-    regularizer_draws,
-    regularizer_from_draws,
-    shared_workspaces,
-)
+from .objectives import RegularizerConfig, regularizer_draws, value_grad_fn
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
 OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-binary")
@@ -82,8 +68,8 @@ class FitConfig:
             raise ValidationError(
                 f"objective must be one of {OBJECTIVES}, got '{self.objective}'"
             )
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"tol must be finite and > 0, got {self.tol}")
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ValidationError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.max_iters < 1:
@@ -146,7 +132,7 @@ def _binary_tag(objective: str) -> bool:
 
 
 def _make_value_grad(sf, data, noise, cfg):
-    """Closure params -> (value, grad) for the configured objective, holding its workspaces."""
+    """Closure params -> (value, grad) for the configured objective (``value_grad_fn``)."""
     is_population = cfg.objective.startswith("population-")
     if is_population and not isinstance(data, ConditionalProblem):
         raise ValidationError(f"objective '{cfg.objective}' needs a ConditionalProblem")
@@ -154,63 +140,11 @@ def _make_value_grad(sf, data, noise, cfg):
         raise ValidationError(f"objective '{cfg.objective}' needs a Dataset")
     if cfg.objective in ("ranking", "binary") and noise is None:
         raise ValidationError(f"objective '{cfg.objective}' needs a noise distribution")
-    regularized = cfg.reg is not None and cfg.reg.alpha > 0.0
-    if regularized and is_population:
+    alpha = cfg.reg.alpha if cfg.reg is not None else 0.0
+    if alpha > 0.0 and is_population:
         raise ValidationError("the sampled regularizer needs a Dataset objective")
-    if cfg.objective == "ranking":
-        keys = data.ranking_keys(sf.m_x, sf.m_y)  # bounds-checks the data before any workspace
-    elif not is_population:
-        data.tables(sf.m_x, sf.m_y)  # the same check
-
-    def split(params):
-        return BinaryParams(params[:-1], float(params[-1]))
-
-    loss = cfg.objective  # the key of the loss below
-    subtract_reg = False  # whether the regularizer is subtracted after the loss
-    if regularized:
-        draws = regularizer_draws(data, noise, cfg.reg)
-        folded = fold_draws(data.x, draws, sf.m_y)
-        exp_table = np.empty((sf.m_x, sf.m_y))
-        if cfg.objective == "ranking":
-            # ranking and penalty weights end to end: one bincount, one accumulate_grad
-            loss = "regularized-ranking"
-            shared = shared_workspaces([(keys.index, keys.mult), folded], exp_table)
-        else:
-            subtract_reg = True
-            reg_ws = Workspace(*folded, exp_table)
-    elif cfg.objective == "ranking":
-        ws = Workspace(keys.index, keys.mult, np.empty((sf.m_x, sf.m_y)))
-    loss_value_grad = {
-        "mle": lambda params: mle_value_grad(sf, params, data),
-        "ranking": lambda params: ranking_value_grad(sf, params, data, noise, ws),
-        "regularized-ranking": lambda params: regularized_ranking_value_grad(
-            sf, params, data, noise, draws, cfg.reg.alpha, shared
-        ),
-        "binary": lambda params: binary_value_grad(sf, split(params), data, noise),
-        "population-ranking": lambda params: population_ranking_value_grad(
-            sf, params, data, noise, cfg.k
-        ),
-        "population-binary": lambda params: population_binary_value_grad(
-            sf, split(params), data, noise, cfg.k
-        ),
-    }[loss]
-    if not (subtract_reg or cfg.l2):
-        return loss_value_grad
-    n = sf.n_params  # gamma, when present, is the last coordinate: neither term touches it
-
-    def value_grad(params):
-        value, grad = loss_value_grad(params)
-        theta = params[:n]
-        if subtract_reg:
-            reg_value, reg_grad = regularizer_from_draws(
-                sf, theta, data.x, draws, noise, cfg.reg.alpha, reg_ws
-            )
-            value, grad[:n] = value - reg_value, grad[:n] - reg_grad
-        if cfg.l2:
-            value, grad[:n] = value - 0.5 * cfg.l2 * (theta @ theta), grad[:n] - cfg.l2 * theta
-        return value, grad
-
-    return value_grad
+    draws = regularizer_draws(data, noise, cfg.reg) if alpha > 0.0 else None
+    return value_grad_fn(sf, data, noise, cfg.objective, cfg.k, draws, alpha, cfg.l2)
 
 
 def _initial_params(sf, cfg):

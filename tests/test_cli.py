@@ -14,12 +14,14 @@ from ncelab import (
     ConditionalProblem,
     FitConfig,
     NoiseDistribution,
+    NumericError,
     RegularizerConfig,
     SamplingConfig,
     binary_asymptotic_cov,
     fit,
     generate_dataset,
 )
+from ncelab import asymptotics
 from ncelab.cli import main
 
 
@@ -132,6 +134,13 @@ class TestFit:
         ]
         theta = json.loads(out.read_text())["theta"]
         assert theta == reports[0].theta.tolist() != reports[1].theta.tolist()
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan"])
+    def test_negative_or_nan_reg_alpha_exits_2(self, problem_file, tmp_path, alpha):
+        assert run([
+            "fit", "--problem", problem_file, "--estimator", "ranking", "--K", 2,
+            "--n", 300, "--reg-alpha", alpha, "--out", tmp_path / "x.json",
+        ]) == 2
 
     def test_unknown_noise_exits_2(self, problem_file, tmp_path):
         assert run([
@@ -330,6 +339,20 @@ class TestReplicate:
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
 
 
+    def test_numeric_error_of_a_fit_keeps_exit_code_3(self, tmp_path, monkeypatch, capsys):
+        def failing_fit(*args):
+            raise NumericError("objective non-finite")
+
+        monkeypatch.setattr(asymptotics, "fit", failing_fit)
+        path = tmp_path / "id.json"
+        run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
+             "--seed", 23, "--out", path])
+        assert run([
+            "replicate", "--problem", path, "--estimator", "mle", "--n", 100,
+            "--replications", 3, "--out", tmp_path / "rep.json",
+        ]) == 3
+        assert "replication 0 failed: objective non-finite" in capsys.readouterr().err
+
     def test_binary_on_a_self_normalized_problem(self, self_normalized_file, tmp_path):
         out = tmp_path / "rep.json"
         assert run([
@@ -362,9 +385,11 @@ class TestThreadCount:
             (FEATURES, ["fit", "--estimator", "ranking", "--K", "8", "--n", "2000"]),
             (FEATURES, ["fit", "--estimator", "ranking", "--K", "8", "--n", "2000",
                         "--reg-alpha", "0.5"]),
+            (FEATURES, ["fit", "--estimator", "binary", "--K", "8", "--n", "2000",
+                        "--reg-alpha", "0.5"]),
         ],
         ids=["fit-ranking", "fit-binary-bias", "replicate", "fit-ranking-folded",
-             "fit-ranking-folded-reg"],
+             "fit-ranking-folded-reg", "fit-binary-reg"],
     )
     def test_results_identical_at_one_and_two_blas_threads(self, tmp_path, synth, args):
         problem = tmp_path / "problem.json"
@@ -424,6 +449,12 @@ class TestLm:
             f"converged={fit['converged']} iterations={fit['iterations']} "
             f"|g|={fit['grad_norm']:.3e} evaluations={fit['n_evaluations']}"
         )
+
+    def test_negative_reg_alpha_exits_2(self, tmp_path):
+        assert run([
+            "lm", "--reg-alpha", -1, "--max-iters", 1, "--out", tmp_path / "lm.json",
+        ]) == 2
+        assert not (tmp_path / "lm.json").exists()
 
     def test_empty_corpus_exits_2(self, tmp_path):
         corpus = tmp_path / "c.txt"

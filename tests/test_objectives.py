@@ -40,9 +40,9 @@ from ncelab import objectives
 from ncelab.model import log_softmax_rows
 from ncelab.sampling import fold_candidates
 from ncelab.objectives import (
-    Workspace,
-    _binary_value_grad,
+    _binary_terms,
     _row_sum,
+    _workspaces,
     binary_value_grad,
     count_vectors,
     fold_draws,
@@ -50,8 +50,7 @@ from ncelab.objectives import (
     population_binary_value_grad,
     population_ranking_value_grad,
     ranking_value_grad,
-    regularized_ranking_value_grad,
-    regularizer_from_draws,
+    value_grad_fn,
 )
 
 
@@ -97,6 +96,13 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12)
 
 
+def penalty(sf, theta, dataset, draws, noise, alpha):
+    """The log Z penalty alone over ``draws`` of ``dataset.x`` and its gradient:
+    ``value_grad_fn`` with no loss gives their negatives."""
+    value, grad = value_grad_fn(sf, dataset, noise, None, draws=draws, alpha=alpha)(theta)
+    return -value, -grad
+
+
 def fold_index(index):
     """(index, mult) of an index of flat cells, each row in one context: with
     m_y = 1 and every x 0, ``fold_draws`` takes the cells as labels."""
@@ -108,7 +114,8 @@ def gathered(table, index):
     this one call; returns (lse, e, s) and the folded (index, mult)."""
     exp_table = np.exp(table - table.max(axis=1)[:, None])
     folded = fold_index(index)
-    return Workspace(*folded, np.empty(table.shape)).gather(table, exp_table), folded
+    (ws,), _, _ = _workspaces([folded], table.shape)
+    return ws.gather(table, exp_table), folded
 
 
 def folded_softmax(cand_cells, q, cells, mult):
@@ -419,11 +426,9 @@ class TestRegularizer:
 
         problem = make_self_normalized_problem(3, 4, 3, seed=101)
         noise = NoiseDistribution.uniform(4)
-        x_idx = np.array([0, 1, 2])
+        dataset = Dataset(x=[0, 1, 2], y=[0, 0, 0], negatives=[[0], [0], [0]], provenance={})
         draws = np.tile(np.arange(4), (3, 1))  # every label once per example
-        value, grad = regularizer_from_draws(
-            problem.scoring, problem.theta_star, x_idx, draws, noise, alpha=1.0
-        )
+        value, grad = penalty(problem.scoring, problem.theta_star, dataset, draws, noise, alpha=1.0)
         assert value == pytest.approx(0.0, abs=1e-20)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -686,7 +691,7 @@ class TestValueGradMatchesReference:
     def test_regularizer(self, case):
         _, sf, noise, ds, theta, _, _ = case
         # the dataset's negatives double as the penalty's noise draws
-        got = regularizer_from_draws(sf, theta, ds.x, ds.negatives, noise, 0.7)
+        got = penalty(sf, theta, ds, ds.negatives, noise, 0.7)
         assert_matches(got, ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7))
 
 
@@ -726,20 +731,17 @@ class TestScipyReplacements:
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 700.0])
     def test_binary_kernel_sigmoids(self, scale):
-        # one-hot features: theta is the score table and the gradient is the
-        # kernel's per-cell weight table, w_pos (1 - g) - w_neg g
-        m_x = 400
-        sf = LinearFeatures(np.eye(2 * m_x).reshape(m_x, 2, 2 * m_x))
-        theta = scale * np.random.default_rng(12).standard_normal(2 * m_x)
-        noise, k, bp = NoiseDistribution.uniform(2), 3, BinaryParams(theta, 0.25)
-        stilde = sf.score_table(theta) - noise.log_probs[None, :] - 0.25 - np.log(k)
+        # the kernel's value and its per-cell weights on grad s, w_pos (1 - g) - w_neg g
+        m_x, k = 400, 3
+        shat = scale * np.random.default_rng(12).standard_normal((m_x, 2))
+        stilde = shat - 0.25 - np.log(k)
         ones, zeros = np.ones((m_x, 2)), np.zeros((m_x, 2))
-        value, _ = _binary_value_grad(sf, bp, noise, k, ones, zeros)
+        value, _ = _binary_terms(shat, 0.25, k, ones, zeros)
         assert value == float(log_expit(stilde).sum())
-        value, grad = _binary_value_grad(sf, bp, noise, k, zeros, ones)
+        value, weights = _binary_terms(shat, 0.25, k, zeros, ones)
         assert value == float(log_expit(-stilde).sum())
         # numpy's exp is not libm's, and the quotient carries its error
-        np.testing.assert_array_max_ulp(-grad[:-1].reshape(m_x, 2), expit(stilde), maxulp=4)
+        np.testing.assert_array_max_ulp(-weights, expit(stilde), maxulp=4)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_count_vector_log_factorials(self, k):
@@ -824,7 +826,7 @@ class TestGatheredExp:
         theta = np.abs(theta) + 0.5
         assert not np.isfinite(ranking_value_grad(sf, theta, ds, noise)[0])
         draws = np.concatenate([ds.y[:, None], ds.negatives], axis=1)
-        assert not np.isfinite(regularizer_from_draws(sf, theta, ds.x, draws, noise, 0.7)[0])
+        assert not np.isfinite(penalty(sf, theta, ds, draws, noise, 0.7)[0])
 
     def test_overflowing_scores_stop_a_ranking_fit_at_the_initial_point(self):
         # infinite features put +-inf scores in the table at any nonzero theta
@@ -875,9 +877,9 @@ class TestWorkspace:
         index[0] = rng.integers(1, m_y, cols)
         second = 3.0 * rng.standard_normal((m_x, m_y))
         cells, mult = fold_index(index)
-        ws = Workspace(cells, mult, np.empty((m_x, m_y)))
+        (ws,), _, _ = _workspaces([(cells, mult)], (m_x, m_y))
         for call, table in enumerate((first, second)):
-            exp_table = np.exp(table - table.max(axis=1)[:, None], out=ws.exp_table)
+            exp_table = np.exp(table - table.max(axis=1)[:, None])
             got = ws.gather(table, exp_table)
             assert got[1] is ws.e and got[2] is ws.s
             *want, redo = fresh_gather(table, cells, mult)
@@ -888,14 +890,14 @@ class TestWorkspace:
     @pytest.mark.parametrize("cell", [-1, 6])
     def test_out_of_range_index_raises_when_built(self, cell):
         with pytest.raises(IndexError, match="out of bounds"):
-            Workspace(np.array([[0, 1], [3, cell]]), np.ones((2, 2), np.uint8), np.empty((2, 3)))
+            _workspaces([(np.array([[0, 1], [3, cell]]), np.ones((2, 2), np.uint8))], (2, 3))
 
     def test_regularizer_rejects_out_of_range_draws(self):
         problem, noise, ds, theta = small_setup(seed=45)
         # label m_x * m_y puts every row's cell past the table's end
         draws = np.full((ds.n, 2), problem.m_x * problem.m_y)
         with pytest.raises(IndexError, match="out of bounds"):
-            regularizer_from_draws(problem.scoring, theta, ds.x, draws, noise, 0.7)
+            penalty(problem.scoring, theta, ds, draws, noise, 0.7)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 300))
@@ -1086,10 +1088,9 @@ class TestFold:
         ranking = ranking_value_grad(sf, theta, ds, noise)
         ref_rank = ref_ranking(sf, theta, ds, noise)
         assert_matches(ranking, ref_rank, grad_floor=1e-5)
-        penalty = regularizer_from_draws(sf, theta, ds.x, ds.negatives, noise, 0.7)
         ref_pen = ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7)
-        assert_matches(penalty, ref_pen)
-        both = regularized_ranking_value_grad(sf, theta, ds, noise, ds.negatives, 0.7)
+        assert_matches(penalty(sf, theta, ds, ds.negatives, noise, 0.7), ref_pen)
+        both = value_grad_fn(sf, ds, noise, "ranking", draws=ds.negatives, alpha=0.7)(theta)
         assert_matches(both, (ref_rank[0] - ref_pen[0], ref_rank[1] - ref_pen[1]), grad_floor=1e-5)
 
     def test_redone_rows_match_the_unfolded_references(self, monkeypatch):
@@ -1117,7 +1118,7 @@ class TestFold:
             if x == 0 and y != 0
         })
         assert_matches(
-            regularizer_from_draws(sf, theta, ds.x, ds.negatives, noise, 0.7),
+            penalty(sf, theta, ds, ds.negatives, noise, 0.7),
             ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7),
         )
         assert calls[-1] == int(((ds.x == 0) & (ds.negatives[:, 0] != 0)).sum())

@@ -72,6 +72,17 @@ class TestFitConfig:
         with pytest.raises(ValidationError, match="l2"):
             FitConfig(objective="mle", l2=l2)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_tol_must_be_finite(self, tol):
+        # no |g| is <= nan, so such a fit could never converge
+        with pytest.raises(ValidationError, match="tol"):
+            FitConfig(objective="mle", tol=tol)
+
+    @pytest.mark.parametrize("alpha", [-0.5, np.nan, np.inf])
+    def test_regularizer_alpha_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            RegularizerConfig(alpha=alpha, m=3)
+
     def test_digest_leaves_out_a_zero_penalty(self):
         # the value before l2 existed: no tabular report's bytes move
         assert FitConfig(objective="ranking").digest() == "0be03e47a2123df8"
@@ -265,8 +276,6 @@ class TestWorkspace:
                 super().__init__(*args)
                 built.append(weakref.ref(self))
 
-        # the kernels' own fallback builds count too
-        monkeypatch.setattr(optimize, "Workspace", Spy)
         monkeypatch.setattr(objectives, "Workspace", Spy)
         p = random_tabular_problem(3, 4, 3, seed=5)
         noise = NoiseDistribution.uniform(4)
@@ -307,21 +316,45 @@ class TestDatasetObjectives:
         with pytest.raises(ValidationError, match="x index out of range"):
             fit(p.scoring, data, NoiseDistribution.uniform(4), cfg)
 
-    def test_regularized_binary_gradient_matches_central_differences(self):
+    @pytest.mark.parametrize("objective", ["mle", "binary"])
+    def test_regularized_binary_gradient_matches_central_differences(self, objective):
         p = random_tabular_problem(3, 4, 2, seed=11)
         noise = NoiseDistribution.uniform(4)
         data = generate_dataset(p, 300, SamplingConfig(k=2, seed=3), noise)
         reg = RegularizerConfig(alpha=0.5, m=3, seed=2)
-        params = np.array([0.3, -0.2, 0.4])
+        has_gamma = objective == "binary"
+        params = np.array([0.3, -0.2, 0.4][: 3 if has_gamma else 2])
         plain = optimize._make_value_grad(
-            p.scoring, data, noise, FitConfig(objective="binary", k=2)
+            p.scoring, data, noise, FitConfig(objective=objective, k=2)
         )(params)[1]
+        n = p.scoring.n_params
         for l2 in (0.0, 0.2):
-            cfg = FitConfig(objective="binary", k=2, reg=reg, l2=l2)
+            cfg = FitConfig(objective=objective, k=2, reg=reg, l2=l2)
             grad = _assert_central_differences(p.scoring, data, noise, cfg, params)
-            # neither penalty depends on gamma
-            assert grad[-1] == plain[-1]
-            assert not np.allclose(grad[:-1], plain[:-1])
+            assert not np.allclose(grad[:n], plain[:n])
+            if has_gamma:
+                # neither penalty depends on gamma
+                assert grad[-1] == plain[-1]
+
+    @pytest.mark.parametrize("objective", ["mle", "binary", "ranking"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_one_score_table_and_one_accumulate_grad_per_evaluation(
+        self, monkeypatch, objective, alpha
+    ):
+        p = random_tabular_problem(3, 4, 2, seed=11)
+        noise = NoiseDistribution.uniform(4)
+        data = generate_dataset(p, 300, SamplingConfig(k=2, seed=3), noise)
+        sf, calls = p.scoring, []
+        for name in ("score_table", "accumulate_grad"):
+            method = getattr(sf, name)
+            monkeypatch.setattr(
+                sf, name, lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args)
+            )
+        cfg = FitConfig(
+            objective=objective, k=2, max_iters=10, reg=RegularizerConfig(alpha=alpha, m=3, seed=2)
+        )
+        report = fit(sf, data, noise, cfg)
+        assert calls.count("score_table") == calls.count("accumulate_grad") == report.n_evaluations
 
     def test_penalized_log_bilinear_gradient_matches_central_differences(self):
         sf = LogBilinear(np.array([[0], [2], [3]]), 4, 2)
