@@ -13,7 +13,8 @@ Conventions:
   into, and one ``accumulate_grad``. Each ``*_value_grad`` function builds
   it for one call; the ``*_objective`` / ``*_gradient`` names project that.
 * Every sampled objective reads the dataset folded by what its loss
-  depends on, as counts divided by n. MLE reads how often each cell
+  depends on, as counts divided by n (MLE divides its gradient by n
+  instead, after ``accumulate_grad``). MLE reads how often each cell
   (x, y) is an observed pair (``Dataset.tables`` positives). Binary reads
   that and how often each cell is a sampled negative (the two count
   tables); population-binary is the same kernel with weights p_xy and
@@ -216,6 +217,11 @@ def binary_logit(shat: np.ndarray, gamma: float, k: int) -> tuple[np.ndarray, np
         return stilde, 1.0 / (1.0 + np.exp(-stilde))
 
 
+def _binary_params(sf: ScoringFunction, bp: BinaryParams) -> np.ndarray:
+    """theta (shape-checked) with gamma appended: a binary objective's params."""
+    return np.append(check_params(bp.theta, sf.n_params), bp.gamma)
+
+
 def _binary_terms(shat, gamma, k, w_pos, w_neg) -> tuple[float, np.ndarray]:
     """sum_{x,y} w_pos log g + w_neg log(1 - g) and its weights on grad s."""
     stilde, sig = binary_logit(shat, gamma, k)
@@ -354,7 +360,7 @@ def binary_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean log-likelihood of classifying true pairs vs K noise pairs, and its
     gradient in (theta, gamma); the last coordinate is d/dgamma."""
-    return value_grad_fn(sf, dataset, noise, "binary")(np.append(bp.theta, bp.gamma))
+    return value_grad_fn(sf, dataset, noise, "binary")(_binary_params(sf, bp))
 
 
 def mle_value_grad(
@@ -556,7 +562,7 @@ def population_binary_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Expected binary objective and its gradient; exact, a sum over X x Y
     with positive weights p_xy and negative weights K p_x p_N."""
-    return value_grad_fn(sf, problem, noise, "population-binary", k)(np.append(bp.theta, bp.gamma))
+    return value_grad_fn(sf, problem, noise, "population-binary", k)(_binary_params(sf, bp))
 
 
 def population_binary_objective(
