@@ -412,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "reg_m", None) is not None and args.reg_m < 1:  # even at --reg-alpha 0
+            raise ValidationError(f"--reg-m must be >= 1, got {args.reg_m}")
         recorded = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         manifest = RunManifest(command=args.command, arguments=recorded)
         start = time.perf_counter()

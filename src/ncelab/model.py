@@ -185,6 +185,8 @@ class LogBilinear(ScoringFunction):
             )
         if histories.min() < 0 or histories.max() >= vocab_size:
             raise ValidationError("log-bilinear: history word id out of vocabulary")
+        if dim < 1:
+            raise ValidationError(f"log-bilinear: dim must be >= 1, got {dim}")
         histories.flags.writeable = False
         self.histories = histories
         self.m_x, self.n_ctx = histories.shape

@@ -10,8 +10,8 @@ Conventions:
   evaluated by one pass, ``value_grad_fn``: one score table, one
   row-shifted exp table when a sampled softmax needs one, one (m_x, m_y)
   table of weights on grad s that the loss and the penalty both write
-  into, and one ``accumulate_grad``. Each ``*_value_grad`` function builds
-  it for one call; the ``*_objective`` / ``*_gradient`` names project that.
+  into, and one ``accumulate_grad``. It checks its own inputs; each
+  ``*_objective`` / ``*_gradient`` builds it for one call and projects that.
 * Every sampled objective reads the dataset folded by what its loss
   depends on, as counts divided by n (MLE divides its gradient by n
   instead, after ``accumulate_grad``). MLE reads how often each cell
@@ -66,6 +66,8 @@ from .errors import BudgetError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params, log_softmax_rows
 from .sampling import Dataset, NoiseDistribution, derive_rng, fold_candidates
 
+OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-binary")
+GAMMA_OBJECTIVES = ("binary", "population-binary")  # their params end in gamma
 TERM_BUDGET = 10**7
 _COUNT_BLOCK = 1 << 16  # cells per block of count vectors, exact or sampled
 _TINY = np.finfo(np.float64).tiny
@@ -236,7 +238,7 @@ def value_grad_fn(
 ):
     """Closure params -> (value, grad) of ``objective`` minus the log Z penalty
     and minus (l2/2)|theta|^2: the one value-and-gradient pass of every fit and
-    every ``*_value_grad``.
+    every ``*_objective`` / ``*_gradient``.
 
     ``data`` is a Dataset, or a ConditionalProblem for the population
     objectives; ``k`` is their K (a dataset carries its own). ``params`` is
@@ -244,7 +246,8 @@ def value_grad_fn(
     touches gamma. When alpha > 0 the penalty (alpha/n) sum_i (log mean_j
     exp shat(x_i, draws_ij))^2 runs over the (n, m) ``draws`` of ``data.x``;
     its inner mean estimates Z(x_i; theta), so it pushes log Z toward 0.
-    ``objective`` None leaves the penalty alone.
+    ``objective`` None leaves the penalty alone; a misused input raises
+    ValidationError when the closure is built.
 
     Each call makes one score table, one row-shifted exp table when a sampled
     softmax needs one, one (m_x, m_y) table of weights on grad s that the loss
@@ -254,9 +257,22 @@ def value_grad_fn(
     flat buffer, scattered into the table by one ``np.bincount``.
     """
     shape = (sf.m_x, sf.m_y)
+    if objective is not None and objective not in OBJECTIVES:
+        raise ValidationError(f"objective must be one of {OBJECTIVES}, got '{objective}'")
+    population = objective in ("population-ranking", "population-binary")
+    kind = ConditionalProblem if population else Dataset
+    if not isinstance(data, kind):
+        raise ValidationError(f"objective '{objective}' needs a {kind.__name__}")
+    if alpha > 0 and population:
+        raise ValidationError("the sampled log Z penalty needs a Dataset objective")
+    shifted = objective != "mle" or alpha > 0  # the table is shat, so noise is read
+    if shifted and noise is None:
+        raise ValidationError(f"objective '{objective}' needs a noise distribution")
     if noise is not None and noise.size != sf.m_y:
         raise ValidationError(f"noise size {noise.size} != label count {sf.m_y}")
-    has_gamma = objective in ("binary", "population-binary")
+    if alpha > 0:
+        data.check_bounds(*shape)  # the penalty reads data.x
+    has_gamma = objective in GAMMA_OBJECTIVES
     layouts, loss, unit = [], None, 1.0  # the table holds unit times the weights on grad s
     if objective == "mle":
         counts, unit = data.tables(*shape).positives, data.n
@@ -306,7 +322,6 @@ def value_grad_fn(
     if layouts:
         workspaces, index, e = _workspaces(layouts, shape)
         exp_table = np.empty(shape)
-    shifted = objective != "mle" or alpha > 0
 
     def value_grad(params):
         theta = check_params(params[:-1] if has_gamma else params, sf.n_params)
@@ -343,63 +358,45 @@ def value_grad_fn(
 # sampled objectives
 
 
-def ranking_value_grad(
+def ranking_objective(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
-) -> tuple[float, np.ndarray]:
-    """Mean log-probability of ranking the true label above its negatives, and its gradient.
+) -> float:
+    """Mean log-probability of ranking the true label above its negatives.
 
     One pass over the dataset's distinct (x, y, sorted negatives) keys of
     ``Dataset.ranking_keys``, each term weighted by the key's count and each
     key's candidates folded into its distinct cells.
     """
-    return value_grad_fn(sf, dataset, noise, "ranking")(theta)
-
-
-def binary_value_grad(
-    sf: ScoringFunction, bp: BinaryParams, dataset: Dataset, noise: NoiseDistribution
-) -> tuple[float, np.ndarray]:
-    """Mean log-likelihood of classifying true pairs vs K noise pairs, and its
-    gradient in (theta, gamma); the last coordinate is d/dgamma."""
-    return value_grad_fn(sf, dataset, noise, "binary")(_binary_params(sf, bp))
-
-
-def mle_value_grad(
-    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset
-) -> tuple[float, np.ndarray]:
-    """Mean log softmax probability of the observed labels (negatives ignored), and its gradient."""
-    return value_grad_fn(sf, dataset, None, "mle")(theta)
-
-
-def ranking_objective(
-    sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
-) -> float:
-    return ranking_value_grad(sf, theta, dataset, noise)[0]
+    return value_grad_fn(sf, dataset, noise, "ranking")(theta)[0]
 
 
 def ranking_gradient(
     sf: ScoringFunction, theta: np.ndarray, dataset: Dataset, noise: NoiseDistribution
 ) -> np.ndarray:
-    return ranking_value_grad(sf, theta, dataset, noise)[1]
+    return value_grad_fn(sf, dataset, noise, "ranking")(theta)[1]
 
 
 def binary_objective(
     sf: ScoringFunction, bp: BinaryParams, dataset: Dataset, noise: NoiseDistribution
 ) -> float:
-    return binary_value_grad(sf, bp, dataset, noise)[0]
+    """Mean log-likelihood of classifying true pairs vs K noise pairs."""
+    return value_grad_fn(sf, dataset, noise, "binary")(_binary_params(sf, bp))[0]
 
 
 def binary_gradient(
     sf: ScoringFunction, bp: BinaryParams, dataset: Dataset, noise: NoiseDistribution
 ) -> np.ndarray:
-    return binary_value_grad(sf, bp, dataset, noise)[1]
+    """Gradient of ``binary_objective`` in (theta, gamma); the last coordinate is d/dgamma."""
+    return value_grad_fn(sf, dataset, noise, "binary")(_binary_params(sf, bp))[1]
 
 
 def mle_objective(sf: ScoringFunction, theta: np.ndarray, dataset: Dataset) -> float:
-    return mle_value_grad(sf, theta, dataset)[0]
+    """Mean log softmax probability of the observed labels (negatives ignored)."""
+    return value_grad_fn(sf, dataset, None, "mle")(theta)[0]
 
 
 def mle_gradient(sf: ScoringFunction, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-    return mle_value_grad(sf, theta, dataset)[1]
+    return value_grad_fn(sf, dataset, None, "mle")(theta)[1]
 
 
 # --------------------------------------------------------------------------
@@ -525,54 +522,27 @@ def ranking_count_terms(problem: ConditionalProblem, shat: np.ndarray, blocks):
             yield x, w, log_q, pos / denom, neg / denom, mass
 
 
-def population_ranking_value_grad(
-    sf: ScoringFunction,
-    theta: np.ndarray,
-    problem: ConditionalProblem,
-    noise: NoiseDistribution,
-    k: int,
-) -> tuple[float, np.ndarray]:
-    """Exact expected ranking objective and its gradient.
+def population_ranking_objective(
+    sf: ScoringFunction, theta: np.ndarray, problem: ConditionalProblem,
+    noise: NoiseDistribution, k: int,
+) -> float:
+    """Exact expected ranking objective under the data and noise distributions.
 
     The positive label is summed over Y and the K i.i.d. negatives over the
     C(m_y+K-1, K) count vectors of ``count_vectors``, each weighted by
     p_x p(u|x) times its multinomial probability (``ranking_count_terms``).
     The term budget counts the m_x * m_y * C(m_y+K-1, K) terms of this sum.
     """
-    return value_grad_fn(sf, problem, noise, "population-ranking", k)(theta)
-
-
-def population_ranking_objective(
-    sf: ScoringFunction,
-    theta: np.ndarray,
-    problem: ConditionalProblem,
-    noise: NoiseDistribution,
-    k: int,
-) -> float:
-    """Expected ranking objective under the data and noise distributions."""
-    return population_ranking_value_grad(sf, theta, problem, noise, k)[0]
-
-
-def population_binary_value_grad(
-    sf: ScoringFunction,
-    bp: BinaryParams,
-    problem: ConditionalProblem,
-    noise: NoiseDistribution,
-    k: int,
-) -> tuple[float, np.ndarray]:
-    """Expected binary objective and its gradient; exact, a sum over X x Y
-    with positive weights p_xy and negative weights K p_x p_N."""
-    return value_grad_fn(sf, problem, noise, "population-binary", k)(_binary_params(sf, bp))
+    return value_grad_fn(sf, problem, noise, "population-ranking", k)(theta)[0]
 
 
 def population_binary_objective(
-    sf: ScoringFunction,
-    bp: BinaryParams,
-    problem: ConditionalProblem,
-    noise: NoiseDistribution,
-    k: int,
+    sf: ScoringFunction, bp: BinaryParams, problem: ConditionalProblem,
+    noise: NoiseDistribution, k: int,
 ) -> float:
-    return population_binary_value_grad(sf, bp, problem, noise, k)[0]
+    """Expected binary objective; exact, a sum over X x Y with positive
+    weights p_xy and negative weights K p_x p_N."""
+    return value_grad_fn(sf, problem, noise, "population-binary", k)(_binary_params(sf, bp))[0]
 
 
 # --------------------------------------------------------------------------
@@ -583,8 +553,10 @@ def regularizer_draws(
     dataset: Dataset, noise: NoiseDistribution, cfg: RegularizerConfig
 ) -> np.ndarray:
     """The (n, m) noise labels of the penalty, fixed by (cfg.seed, cfg.stream)."""
-    if dataset.n == 0:
-        raise ValidationError("dataset is empty")
+    if not isinstance(dataset, Dataset):
+        raise ValidationError("the sampled log Z penalty needs a Dataset objective")
+    if noise is None:
+        raise ValidationError("the sampled log Z penalty needs a noise distribution")
     return noise.sample(derive_rng(cfg.seed, cfg.stream, 4), (dataset.n, cfg.m))
 
 

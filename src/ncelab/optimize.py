@@ -40,10 +40,11 @@ import numpy as np
 
 from .errors import InitializationError, ValidationError
 from .model import ConditionalProblem, ContextBias, ScoringFunction
-from .objectives import RegularizerConfig, regularizer_draws, value_grad_fn
+from .objectives import (
+    GAMMA_OBJECTIVES, OBJECTIVES, RegularizerConfig, regularizer_draws, value_grad_fn,
+)
 from .sampling import Dataset, NoiseDistribution, derive_rng
 
-OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-binary")
 _MIN_STEP = 1e-18
 _ARMIJO = 1e-4
 _MEMORY = 10  # L-BFGS curvature pairs kept
@@ -127,28 +128,8 @@ class EstimationReport:
         }
 
 
-def _binary_tag(objective: str) -> bool:
-    return objective in ("binary", "population-binary")
-
-
-def _make_value_grad(sf, data, noise, cfg):
-    """Closure params -> (value, grad) for the configured objective (``value_grad_fn``)."""
-    is_population = cfg.objective.startswith("population-")
-    if is_population and not isinstance(data, ConditionalProblem):
-        raise ValidationError(f"objective '{cfg.objective}' needs a ConditionalProblem")
-    if not is_population and not isinstance(data, Dataset):
-        raise ValidationError(f"objective '{cfg.objective}' needs a Dataset")
-    if cfg.objective in ("ranking", "binary") and noise is None:
-        raise ValidationError(f"objective '{cfg.objective}' needs a noise distribution")
-    alpha = cfg.reg.alpha if cfg.reg is not None else 0.0
-    if alpha > 0.0 and is_population:
-        raise ValidationError("the sampled regularizer needs a Dataset objective")
-    draws = regularizer_draws(data, noise, cfg.reg) if alpha > 0.0 else None
-    return value_grad_fn(sf, data, noise, cfg.objective, cfg.k, draws, alpha, cfg.l2)
-
-
 def _initial_params(sf, cfg):
-    dim = sf.n_params + (1 if _binary_tag(cfg.objective) else 0)
+    dim = sf.n_params + (1 if cfg.objective in GAMMA_OBJECTIVES else 0)
     if cfg.init == "zeros":
         params = np.zeros(dim)
     else:
@@ -158,7 +139,7 @@ def _initial_params(sf, cfg):
 
 
 def _clamp_gamma(params, cfg):
-    if _binary_tag(cfg.objective):
+    if cfg.objective in GAMMA_OBJECTIVES:
         params[-1] = np.clip(params[-1], *_GAMMA_RANGE)
     return params
 
@@ -199,10 +180,12 @@ def fit(
     theta)``, if given, runs after every accepted step with the score
     parameters, gamma left out (it must not mutate theta).
     """
-    has_gamma = _binary_tag(cfg.objective)
+    has_gamma = cfg.objective in GAMMA_OBJECTIVES
     # gamma and the mean of the c_x enter the binary logit only as a sum
     pin_gamma = has_gamma and isinstance(sf, ContextBias)
-    value_grad = _make_value_grad(sf, data, noise, cfg)
+    alpha = cfg.reg.alpha if cfg.reg is not None else 0.0
+    draws = regularizer_draws(data, noise, cfg.reg) if alpha > 0.0 else None
+    value_grad = value_grad_fn(sf, data, noise, cfg.objective, cfg.k, draws, alpha, cfg.l2)
     params = _initial_params(sf, cfg)
     if pin_gamma:
         params[-1] = 0.0

@@ -225,23 +225,20 @@ class Dataset:
         return self.negatives.shape[1]
 
     def check_bounds(self, m_x: int, m_y: int) -> None:
-        if self.n:
-            if self.x.min() < 0 or self.x.max() >= m_x:
-                raise ValidationError("dataset: x index out of range")
-            labels = (self.y, self.negatives)
-            if min(a.min() for a in labels) < 0 or max(a.max() for a in labels) >= m_y:
-                raise ValidationError("dataset: label index out of range")
-
-    def _checked(self, m_x: int, m_y: int) -> None:
+        """Reject an empty dataset and one whose indices overrun an (m_x, m_y) table."""
         if self.n == 0:
             raise ValidationError("dataset is empty")
-        self.check_bounds(m_x, m_y)
+        if self.x.min() < 0 or self.x.max() >= m_x:
+            raise ValidationError("dataset: x index out of range")
+        labels = (self.y, self.negatives)
+        if min(a.min() for a in labels) < 0 or max(a.max() for a in labels) >= m_y:
+            raise ValidationError("dataset: label index out of range")
 
     def tables(self, m_x: int, m_y: int) -> DatasetTables:
         """Count tables, built and bounds-checked once per shape; the dataset
         is immutable, so they never go stale."""
         if (m_x, m_y) not in self._tables:
-            self._checked(m_x, m_y)
+            self.check_bounds(m_x, m_y)
             cells = m_x * m_y
             positives = np.bincount(self.x * m_y + self.y, minlength=cells).reshape(m_x, m_y)
             negatives = np.bincount(
@@ -267,7 +264,7 @@ class Dataset:
         that MLE and binary fits never pay for the sort.
         """
         if (m_x, m_y) not in self._keys:
-            self._checked(m_x, m_y)
+            self.check_bounds(m_x, m_y)
             x, y, rest, counts = self.x, self.y, np.sort(self.negatives, axis=1), np.ones(self.n)
             # Python ints: a numpy integer power would wrap instead of growing
             if int(m_x) * int(m_y) ** (self.k + 1) < 2**63:

@@ -142,6 +142,14 @@ class TestFit:
             "--n", 300, "--reg-alpha", alpha, "--out", tmp_path / "x.json",
         ]) == 2
 
+    def test_reg_m_below_1_exits_2_at_any_alpha(self, problem_file, tmp_path):
+        for alpha in (0.0, 0.5):
+            assert run([
+                "fit", "--problem", problem_file, "--estimator", "ranking", "--K", 2,
+                "--n", 300, "--reg-alpha", alpha, "--reg-m", 0, "--out", tmp_path / "x.json",
+            ]) == 2
+        assert not (tmp_path / "x.json").exists()
+
     def test_unknown_noise_exits_2(self, problem_file, tmp_path):
         assert run([
             "fit", "--problem", problem_file, "--noise", "zipf",
@@ -455,6 +463,13 @@ class TestLm:
             "lm", "--reg-alpha", -1, "--max-iters", 1, "--out", tmp_path / "lm.json",
         ]) == 2
         assert not (tmp_path / "lm.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--reg-m", 0], ["--dim", -1], ["--dim", 0]])
+    def test_bad_reg_m_or_dim_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
+        capsys.readouterr()
+        assert run(["lm", *flags, "--max-iters", 1, "--out", tmp_path / "lm.json"]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_corpus_exits_2(self, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -148,6 +148,11 @@ class TestScoreGrad:
         with pytest.raises(ValidationError):
             LinearFeatures(np.zeros((2, 2, 3))).grad_table(np.array([0.0, np.inf, 0.0]))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_log_bilinear_rejects_dim_below_1(self, dim):
+        with pytest.raises(ValidationError, match="dim must be >= 1"):
+            LogBilinear(np.zeros((2, 1), dtype=int), 3, dim)
+
     def test_log_bilinear_has_no_grad_table(self):
         sf = LogBilinear(np.zeros((2, 1), dtype=int), 3, 2)
         with pytest.raises(NotImplementedError):

@@ -43,13 +43,8 @@ from ncelab.objectives import (
     _binary_terms,
     _row_sum,
     _workspaces,
-    binary_value_grad,
     count_vectors,
     fold_draws,
-    mle_value_grad,
-    population_binary_value_grad,
-    population_ranking_value_grad,
-    ranking_value_grad,
     value_grad_fn,
 )
 
@@ -101,6 +96,11 @@ def penalty(sf, theta, dataset, draws, noise, alpha):
     ``value_grad_fn`` with no loss gives their negatives."""
     value, grad = value_grad_fn(sf, dataset, noise, None, draws=draws, alpha=alpha)(theta)
     return -value, -grad
+
+
+def with_gamma(bp):
+    """A binary objective's params: theta with gamma appended."""
+    return np.append(bp.theta, bp.gamma)
 
 
 def fold_index(index):
@@ -355,7 +355,7 @@ class TestPopulationRanking:
         fd = fd_grad(
             lambda t: population_ranking_objective(sf, t, problem, noise, 2), theta
         )
-        got = population_ranking_value_grad(sf, theta, problem, noise, 2)[1]
+        got = value_grad_fn(sf, problem, noise, "population-ranking", 2)(theta)[1]
         assert rel_err(got, fd) <= 1e-6
 
 
@@ -384,7 +384,8 @@ class TestPopulationBinary:
         for g in (-0.7, 0.0, 1.2):
             bp = BinaryParams(np.array([g - np.log(4.0), g + np.log(7.0 / 12.0)]), g)
             for k in (1, 4):
-                grad = population_binary_value_grad(p.scoring, bp, p, noise, k)[1]
+                value_grad = value_grad_fn(p.scoring, p, noise, "population-binary", k)
+                grad = value_grad(with_gamma(bp))[1]
                 np.testing.assert_allclose(grad[:2], 0.0, atol=1e-10)
 
     def test_balanced_logits_value(self):
@@ -408,7 +409,7 @@ class TestPopulationBinary:
             )
 
         fd = fd_grad(obj, params)
-        got = population_binary_value_grad(sf, BinaryParams(theta, -0.4), problem, noise, 3)[1]
+        got = value_grad_fn(sf, problem, noise, "population-binary", 3)(np.append(theta, -0.4))[1]
         assert rel_err(got, fd) <= 1e-6
 
 
@@ -420,6 +421,14 @@ class TestRegularizer:
         )
         assert value == 0.0
         np.testing.assert_array_equal(grad, 0.0)
+
+    @pytest.mark.parametrize("x, match", [([0, 2], "x index out of range"), ([], "is empty")])
+    def test_out_of_range_or_empty_dataset_is_a_validation_error(self, x, match):
+        problem, noise, _, theta = small_setup(seed=97)
+        negatives = np.ones((len(x), 1), dtype=np.int64)
+        dataset = Dataset(x=x, y=np.zeros(len(x)), negatives=negatives, provenance={})
+        with pytest.raises(ValidationError, match=match):
+            regularizer(problem.scoring, theta, dataset, noise, RegularizerConfig(alpha=0.5, m=3))
 
     def test_exact_zero_for_unit_partition_with_exhaustive_draws(self):
         from ncelab import make_self_normalized_problem
@@ -630,11 +639,11 @@ class TestValueGradMatchesReference:
     @given(small_problems())
     def test_ranking(self, case):
         _, sf, noise, ds, theta, _, _ = case
-        first = ranking_value_grad(sf, theta, ds, noise)
+        first = value_grad_fn(sf, ds, noise, "ranking")(theta)
         # where the exact gradient cancels to 0 both sides keep ~1e-16 of
         # rounding, and the kernel's softmax rounds differently from scipy's
         assert_matches(first, ref_ranking(sf, theta, ds, noise), grad_floor=1e-5)
-        second = ranking_value_grad(sf, theta, ds, noise)
+        second = value_grad_fn(sf, ds, noise, "ranking")(theta)
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
     @settings(max_examples=60, deadline=None)
@@ -642,18 +651,18 @@ class TestValueGradMatchesReference:
     def test_binary(self, case):
         _, sf, noise, ds, theta, gamma, _ = case
         bp = BinaryParams(theta, gamma)
-        first = binary_value_grad(sf, bp, ds, noise)
+        first = value_grad_fn(sf, ds, noise, "binary")(with_gamma(bp))
         assert_matches(first, ref_binary(sf, bp, ds, noise))
-        second = binary_value_grad(sf, bp, ds, noise)
+        second = value_grad_fn(sf, ds, noise, "binary")(with_gamma(bp))
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
     @settings(max_examples=60, deadline=None)
     @given(small_problems())
     def test_mle(self, case):
         _, sf, _, ds, theta, _, _ = case
-        first = mle_value_grad(sf, theta, ds)
+        first = value_grad_fn(sf, ds, None, "mle")(theta)
         assert_matches(first, ref_mle(sf, theta, ds))
-        second = mle_value_grad(sf, theta, ds)
+        second = value_grad_fn(sf, ds, None, "mle")(theta)
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
     @settings(max_examples=60, deadline=None)
@@ -661,7 +670,7 @@ class TestValueGradMatchesReference:
     def test_population_binary_is_the_closed_form(self, case):
         problem, sf, noise, _, theta, gamma, k = case
         bp = BinaryParams(theta, gamma)
-        value, grad = population_binary_value_grad(sf, bp, problem, noise, k)
+        value, grad = value_grad_fn(sf, problem, noise, "population-binary", k)(with_gamma(bp))
         ref_value, ref_grad = ref_population_binary(sf, bp, problem, noise, k)
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)
@@ -670,7 +679,7 @@ class TestValueGradMatchesReference:
     @given(small_problems(max_k=3, max_m_y=4))
     def test_population_ranking(self, case):
         problem, sf, noise, _, theta, _, k = case
-        got = population_ranking_value_grad(sf, theta, problem, noise, k)
+        got = value_grad_fn(sf, problem, noise, "population-ranking", k)(theta)
         # where the exact gradient cancels to 0 both sides keep ~1e-16 of
         # rounding, and the count-vector sum rounds differently from the reference
         assert_matches(got, ref_population_ranking(sf, theta, problem, noise, k), grad_floor=1e-5)
@@ -681,7 +690,7 @@ class TestValueGradMatchesReference:
         problem = random_tabular_problem(1, 2, 1, seed=0)
         sf, theta = problem.scoring, problem.theta_star
         noise = NoiseDistribution(np.array([0.3, 0.7]))
-        got = population_ranking_value_grad(sf, theta, problem, noise, 1)
+        got = value_grad_fn(sf, problem, noise, "population-ranking", 1)(theta)
         want = ref_population_ranking(sf, theta, problem, noise, 1)
         assert np.linalg.norm(want[1]) <= 1e-15
         assert_matches(got, want, grad_floor=1e-5)
@@ -693,6 +702,46 @@ class TestValueGradMatchesReference:
         # the dataset's negatives double as the penalty's noise draws
         got = penalty(sf, theta, ds, ds.negatives, noise, 0.7)
         assert_matches(got, ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7))
+
+
+class TestValueGradFnChecks:
+    """``value_grad_fn`` checks its own inputs, so a misuse is a ValidationError
+    when the closure is built, not a numpy or attribute error later."""
+
+    @pytest.mark.parametrize("objective, data", [
+        ("ranking", "problem"), ("mle", "problem"), ("population-ranking", "dataset"),
+        ("population-binary", "dataset"),
+    ])
+    def test_data_of_the_wrong_kind(self, objective, data):
+        problem, noise, dataset, _ = small_setup(seed=151)
+        data = problem if data == "problem" else dataset
+        with pytest.raises(ValidationError, match="needs a"):
+            value_grad_fn(problem.scoring, data, noise, objective, 2)
+
+    def test_unknown_objective(self):
+        problem, noise, dataset, _ = small_setup(seed=151)
+        with pytest.raises(ValidationError, match="objective must be one of"):
+            value_grad_fn(problem.scoring, dataset, noise, "nce")
+
+    @pytest.mark.parametrize("objective", ["ranking", "binary", "population-binary"])
+    def test_missing_noise(self, objective):
+        problem, _, dataset, _ = small_setup(seed=151)
+        data = problem if objective.startswith("population-") else dataset
+        with pytest.raises(ValidationError, match="needs a noise distribution"):
+            value_grad_fn(problem.scoring, data, None, objective, 2)
+
+    def test_penalty_without_noise(self):
+        problem, _, dataset, _ = small_setup(seed=151)
+        with pytest.raises(ValidationError, match="needs a noise distribution"):
+            value_grad_fn(problem.scoring, dataset, None, "mle", draws=dataset.negatives, alpha=0.5)
+
+    def test_penalty_on_a_population_objective(self):
+        problem, noise, dataset, _ = small_setup(seed=151)
+        with pytest.raises(ValidationError, match="needs a Dataset objective"):
+            value_grad_fn(
+                problem.scoring, problem, noise, "population-ranking", 2,
+                draws=dataset.negatives, alpha=0.5,
+            )
 
 
 class TestLseAndSoftmax:
@@ -824,7 +873,7 @@ class TestGatheredExp:
         features[ds.x[0], ds.y[0], 0] = bad
         sf = LinearFeatures(features)
         theta = np.abs(theta) + 0.5
-        assert not np.isfinite(ranking_value_grad(sf, theta, ds, noise)[0])
+        assert not np.isfinite(value_grad_fn(sf, ds, noise, "ranking")(theta)[0])
         draws = np.concatenate([ds.y[:, None], ds.negatives], axis=1)
         assert not np.isfinite(penalty(sf, theta, ds, draws, noise, 0.7)[0])
 
@@ -961,7 +1010,7 @@ class TestRankingFold:
     @given(repeated_rows())
     def test_folded_kernel_matches_per_row_reference(self, case):
         sf, noise, ds, theta = case
-        value, grad = ranking_value_grad(sf, theta, ds, noise)
+        value, grad = value_grad_fn(sf, ds, noise, "ranking")(theta)
         ref_value, ref_grad = ref_ranking(sf, theta, ds, noise)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-15)
         # identical candidates cancel the gradient to 0 exactly in the fold but
@@ -1017,7 +1066,8 @@ class TestRankingFold:
         np.testing.assert_array_equal(keys.mult.sum(axis=1), np.full(n, k + 1))
         theta = rng.standard_normal(sf.n_params)
         # the fold sums each cell's repeats as one product, so the bits move
-        assert_matches(ranking_value_grad(sf, theta, ds, noise), ref_ranking(sf, theta, ds, noise))
+        got = value_grad_fn(sf, ds, noise, "ranking")(theta)
+        assert_matches(got, ref_ranking(sf, theta, ds, noise))
 
     def test_mle_and_binary_never_build_the_fold(self, monkeypatch):
         def refuse(*args):
@@ -1026,10 +1076,10 @@ class TestRankingFold:
         monkeypatch.setattr(Dataset, "ranking_keys", refuse)
         problem, noise, ds, theta = small_setup(seed=41, n=50)
         sf = problem.scoring
-        mle_value_grad(sf, theta, ds)
-        binary_value_grad(sf, BinaryParams(theta, 0.3), ds, noise)
+        value_grad_fn(sf, ds, None, "mle")(theta)
+        value_grad_fn(sf, ds, noise, "binary")(np.append(theta, 0.3))
         with pytest.raises(AssertionError, match="fold built"):
-            ranking_value_grad(sf, theta, ds, noise)
+            value_grad_fn(sf, ds, noise, "ranking")(theta)
 
 
 @st.composite
@@ -1085,7 +1135,7 @@ class TestFold:
     @given(heavy_rows())
     def test_kernels_match_the_unfolded_references(self, case):
         sf, noise, ds, theta, _ = case
-        ranking = ranking_value_grad(sf, theta, ds, noise)
+        ranking = value_grad_fn(sf, ds, noise, "ranking")(theta)
         ref_rank = ref_ranking(sf, theta, ds, noise)
         assert_matches(ranking, ref_rank, grad_floor=1e-5)
         ref_pen = ref_regularizer(sf, theta, ds.x, ds.negatives, noise, 0.7)
@@ -1112,7 +1162,8 @@ class TestFold:
             negatives=rng.integers(0, m_y, (n, k)), provenance={},
         )
         theta = table.ravel()
-        assert_matches(ranking_value_grad(sf, theta, ds, noise), ref_ranking(sf, theta, ds, noise))
+        got = value_grad_fn(sf, ds, noise, "ranking")(theta)
+        assert_matches(got, ref_ranking(sf, theta, ds, noise))
         assert calls and calls[-1] == len({
             (y, *sorted(negs)) for x, y, negs in zip(ds.x, ds.y, ds.negatives.tolist())
             if x == 0 and y != 0
@@ -1164,6 +1215,6 @@ class TestCountVectors:
         noise = NoiseDistribution(raw / raw.sum())
         theta = scale * rng.standard_normal(3)
         sf = problem.scoring
-        got = population_ranking_value_grad(sf, theta, problem, noise, k)
+        got = value_grad_fn(sf, problem, noise, "population-ranking", k)(theta)
         assert np.isfinite(got[0]) and np.all(np.isfinite(got[1]))
         assert_matches(got, ref_population_ranking(sf, theta, problem, noise, k))

@@ -142,7 +142,7 @@ class TestFitMechanics:
         self, monkeypatch, objective, tol, max_iters
     ):
         calls = []
-        make = optimize._make_value_grad
+        make = optimize.value_grad_fn
 
         def counting_make(*args):
             value_grad = make(*args)
@@ -153,7 +153,7 @@ class TestFitMechanics:
 
             return counted
 
-        monkeypatch.setattr(optimize, "_make_value_grad", counting_make)
+        monkeypatch.setattr(optimize, "value_grad_fn", counting_make)
         if objective == "ranking":
             p = random_tabular_problem(3, 4, 3, seed=5)
             noise = NoiseDistribution.uniform(4)
@@ -293,9 +293,16 @@ class TestWorkspace:
         assert all(ref() is None for ref in built)
 
 
+def _fit_value_grad(sf, data, noise, cfg):
+    """The closure that ``fit`` evaluates for cfg: its penalty draws, then ``value_grad_fn``."""
+    alpha = cfg.reg.alpha if cfg.reg is not None else 0.0
+    draws = objectives.regularizer_draws(data, noise, cfg.reg) if alpha > 0 else None
+    return objectives.value_grad_fn(sf, data, noise, cfg.objective, cfg.k, draws, alpha, cfg.l2)
+
+
 def _assert_central_differences(sf, data, noise, cfg, params, h=1e-6):
     """The fit's gradient at params, checked against central differences of its value."""
-    value_grad = optimize._make_value_grad(sf, data, noise, cfg)
+    value_grad = _fit_value_grad(sf, data, noise, cfg)
     grad = value_grad(params)[1]
     numeric = [
         (value_grad(params + h * e)[0] - value_grad(params - h * e)[0]) / (2 * h)
@@ -316,6 +323,20 @@ class TestDatasetObjectives:
         with pytest.raises(ValidationError, match="x index out of range"):
             fit(p.scoring, data, NoiseDistribution.uniform(4), cfg)
 
+    def test_penalty_without_noise_is_a_validation_error(self):
+        p = random_tabular_problem(3, 4, 2, seed=5)
+        data = generate_dataset(p, 50, SamplingConfig(k=2, seed=6), NoiseDistribution.uniform(4))
+        cfg = FitConfig(objective="mle", k=2, reg=RegularizerConfig(alpha=0.5, m=2))
+        with pytest.raises(ValidationError, match="needs a noise distribution"):
+            fit(p.scoring, data, None, cfg)
+
+    @pytest.mark.parametrize("objective", ["population-ranking", "population-binary"])
+    def test_penalty_on_a_population_objective_is_a_validation_error(self, objective):
+        p = counterexample_problem()
+        cfg = FitConfig(objective=objective, k=2, reg=RegularizerConfig(alpha=0.5, m=2))
+        with pytest.raises(ValidationError, match="needs a Dataset objective"):
+            fit(p.scoring, p, NoiseDistribution.uniform(2), cfg)
+
     @pytest.mark.parametrize("objective", ["mle", "binary"])
     def test_regularized_binary_gradient_matches_central_differences(self, objective):
         p = random_tabular_problem(3, 4, 2, seed=11)
@@ -324,7 +345,7 @@ class TestDatasetObjectives:
         reg = RegularizerConfig(alpha=0.5, m=3, seed=2)
         has_gamma = objective == "binary"
         params = np.array([0.3, -0.2, 0.4][: 3 if has_gamma else 2])
-        plain = optimize._make_value_grad(
+        plain = _fit_value_grad(
             p.scoring, data, noise, FitConfig(objective=objective, k=2)
         )(params)[1]
         n = p.scoring.n_params
@@ -364,7 +385,7 @@ class TestDatasetObjectives:
         params = 0.5 * np.random.default_rng(7).standard_normal(sf.n_params)
         # the LM's regularized ranking fit: one kernel for both softmaxes, then the penalty
         reg = RegularizerConfig(alpha=0.5, m=2, seed=1)
-        plain = optimize._make_value_grad(
+        plain = _fit_value_grad(
             sf, data, noise, FitConfig(objective="ranking", k=3, reg=reg)
         )
         cfg = FitConfig(objective="ranking", k=3, reg=reg, l2=0.2)
