@@ -272,6 +272,10 @@ def value_grad_fn(
         raise ValidationError(f"noise size {noise.size} != label count {sf.m_y}")
     if alpha > 0:
         data.check_bounds(*shape)  # the penalty reads data.x
+        if draws is None or np.ndim(draws) != 2 or len(draws) != data.n:
+            raise ValidationError(f"the log Z penalty needs (n={data.n}, m) draws")
+    elif objective is None:
+        raise ValidationError("no objective and no penalty to evaluate")
     has_gamma = objective in GAMMA_OBJECTIVES
     layouts, loss, unit = [], None, 1.0  # the table holds unit times the weights on grad s
     if objective == "mle":

@@ -735,6 +735,16 @@ class TestValueGradFnChecks:
         with pytest.raises(ValidationError, match="needs a noise distribution"):
             value_grad_fn(problem.scoring, dataset, None, "mle", draws=dataset.negatives, alpha=0.5)
 
+    @pytest.mark.parametrize("objective, draws, alpha, match", [
+        (None, None, 0.0, "no objective and no penalty"),
+        ("ranking", None, 0.5, "needs \\(n=6, m\\) draws"),
+        (None, np.zeros((3, 2), dtype=np.int64), 0.5, "needs \\(n=6, m\\) draws"),
+    ])
+    def test_nothing_to_evaluate_or_draws_of_the_wrong_shape(self, objective, draws, alpha, match):
+        problem, noise, dataset, _ = small_setup(seed=151)
+        with pytest.raises(ValidationError, match=match):
+            value_grad_fn(problem.scoring, dataset, noise, objective, draws=draws, alpha=alpha)
+
     def test_penalty_on_a_population_objective(self):
         problem, noise, dataset, _ = small_setup(seed=151)
         with pytest.raises(ValidationError, match="needs a Dataset objective"):
