@@ -14,9 +14,10 @@ there are at least ten pairs, the change wins at least nine tenths of
 them, and the medians differ by more than the parent's interquartile
 range. ``regression`` marks a metric whose change median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json times the
-parent's median. Runs last ``run_seconds`` of the change's BENCHMARK.json, and
-``sides`` records each checkout's ``git describe --always --dirty``.
-``--out`` is overwritten.
+parent's median. Runs last ``run_seconds`` of the change's BENCHMARK.json;
+``sides`` records each checkout's ``git describe --always --dirty`` and
+``paths`` its absolute path, since a checkout's path alone can move
+``peak_rss_mib``. ``--out`` is overwritten.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ def main(argv=None) -> int:
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "machine_note": "each run's own machine line is kept under pairs",
         "sides": {side: revision(checkout) for side, checkout in checkouts.items()},
+        "paths": {side: str(checkout.resolve()) for side, checkout in checkouts.items()},
     }
     pairs = doc["pairs"] = {}
     for workload in args.workload:

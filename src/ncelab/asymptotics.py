@@ -377,6 +377,8 @@ def replicate(
         raise ValidationError(f"n must be >= 0, got {n}")
     if n == 0:
         raise ValidationError("n must be >= 1 to fit a replication")
+    # derived before the covariance, so a negative seed is a ValidationError either way
+    rep_seeds = [int(derive_rng(seeds, 8, r).integers(2**63)) for r in range(replications)]
     theoretical = asymptotic_cov(problem, fit_cfg.objective, noise, k).inverse
     sf, theta_star = problem.scoring, problem.theta_star
     # MLE ignores negatives but the dataset still carries a matrix of them
@@ -384,8 +386,7 @@ def replicate(
     devs = np.empty((replications, sf.n_params))
     grad_norms = np.empty(replications)
     converged = 0
-    for r in range(replications):
-        seed = int(derive_rng(seeds, 8, r).integers(2**63))
+    for r, seed in enumerate(rep_seeds):
         dataset = generate_dataset(problem, n, SamplingConfig(k=k, seed=seed), data_noise)
         try:
             report = fit(sf, dataset, noise, fit_cfg)

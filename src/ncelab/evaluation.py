@@ -26,18 +26,17 @@ class EvalResult:
         return {"kl": self.kl, "d_metric": self.d_metric, "worst_tv": self.worst_tv}
 
 
-def _check_shapes(problem: ConditionalProblem, sf: ScoringFunction) -> None:
+def _log_q(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
+    """The estimated log p(y|x;theta) table, shape-checked against the problem."""
     if (sf.m_x, sf.m_y) != (problem.m_x, problem.m_y):
         raise ValidationError(
             f"scoring function shape ({sf.m_x}, {sf.m_y}) does not match "
             f"problem ({problem.m_x}, {problem.m_y})"
         )
+    return log_cond_prob_table(sf, theta)
 
 
-def kl_divergence(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> float:
-    """sum_x p_X(x) KL( p_{Y|X}(.|x) || p(.|x;theta) )."""
-    _check_shapes(problem, sf)
-    log_q = log_cond_prob_table(sf, theta)
+def _kl(problem: ConditionalProblem, log_q: np.ndarray) -> float:
     if np.any(np.isneginf(log_q)):
         raise NumericError("estimated conditional has an exactly-zero entry")
     p = problem.p_y_given_x
@@ -45,23 +44,27 @@ def kl_divergence(problem: ConditionalProblem, sf: ScoringFunction, theta: np.nd
     return float(problem.p_x @ per_cell.sum(axis=1))
 
 
-def d_metric(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> float:
-    """sum_{x,y} p_XY(x,y) (phat(y|x) - p(y|x))^2."""
-    _check_shapes(problem, sf)
-    q = np.exp(log_cond_prob_table(sf, theta))
+def _d_metric(problem: ConditionalProblem, q: np.ndarray) -> float:
     return float(np.sum(problem.p_xy * (q - problem.p_y_given_x) ** 2))
 
 
-def worst_case_tv(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> float:
-    """max_x total variation between true and estimated conditionals."""
-    _check_shapes(problem, sf)
-    q = np.exp(log_cond_prob_table(sf, theta))
-    return float(0.5 * np.max(np.abs(q - problem.p_y_given_x).sum(axis=1)))
+def kl_divergence(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> float:
+    """sum_x p_X(x) KL( p_{Y|X}(.|x) || p(.|x;theta) )."""
+    return _kl(problem, _log_q(problem, sf, theta))
+
+
+def d_metric(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> float:
+    """sum_{x,y} p_XY(x,y) (phat(y|x) - p(y|x))^2."""
+    return _d_metric(problem, np.exp(_log_q(problem, sf, theta)))
 
 
 def evaluate(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> EvalResult:
+    """KL, the d metric and the worst-case total variation max_x TV between
+    true and estimated conditionals, all from one conditional table."""
+    log_q = _log_q(problem, sf, theta)
+    q = np.exp(log_q)
     return EvalResult(
-        kl=kl_divergence(problem, sf, theta),
-        d_metric=d_metric(problem, sf, theta),
-        worst_tv=worst_case_tv(problem, sf, theta),
+        kl=_kl(problem, log_q),
+        d_metric=_d_metric(problem, q),
+        worst_tv=float(0.5 * np.max(np.abs(q - problem.p_y_given_x).sum(axis=1))),
     )

@@ -76,6 +76,8 @@ class LinearFeatures(ScoringFunction):
             raise ValidationError(
                 f"linear-features: table must be (m_x, m_y, d), got {features.shape}"
             )
+        if features.shape[2] < 1:
+            raise ValidationError(f"linear-features: d must be >= 1, got {features.shape[2]}")
         self.features = features
         self.m_x, self.m_y, self.n_params = features.shape
 
@@ -105,6 +107,8 @@ class LinearSoftmax(ScoringFunction):
             )
         if n_labels < 2:
             raise ValidationError(f"linear-softmax: need >= 2 labels, got {n_labels}")
+        if inputs.shape[1] < 1:
+            raise ValidationError(f"linear-softmax: d must be >= 1, got {inputs.shape[1]}")
         self.inputs = inputs
         self.m_x, self.dim = inputs.shape
         self.m_y = n_labels

@@ -15,22 +15,23 @@ Conventions:
 * Every sampled objective reads the dataset folded by what its loss
   depends on, as counts divided by n (MLE divides its gradient by n
   instead, after ``accumulate_grad``). MLE reads how often each cell
-  (x, y) is an observed pair (``Dataset.tables`` positives). Binary reads
-  that and how often each cell is a sampled negative (the two count
-  tables); population-binary is the same kernel with weights p_xy and
-  K p_x p_N. Ranking is symmetric in the K negatives, so it reads the
-  count of each distinct (x, y, sorted negatives) key
-  (``Dataset.ranking_keys``); keys too wide to pack stay one row each.
+  (x, y) is an observed pair (``count_table``). Binary reads that and how
+  often each cell is a sampled negative (two count tables);
+  population-binary is the same kernel with weights p_xy and K p_x p_N.
+  Ranking is symmetric in the K negatives, so it reads the count of each
+  distinct (x, y, sorted negatives) key (``ranking_keys``); keys too wide
+  to pack stay one row each. ``value_grad_fn`` bounds-checks the dataset
+  and builds these folds once per closure.
   Every reduction is a numpy sum over arrays whose shape and order depend
   only on the inputs, so results do not depend on the thread count.
 * A sampled softmax row (a ranking key's K+1 candidates, a regularizer
   row's m draws) depends only on the multiset of its cells, so each row is
   folded once into its distinct cells with multiplicities
-  (``sampling.fold_candidates``): a fixed width, that of the widest row,
-  the row's first cell (the observed one for ranking) in column 0, pad
-  slots at multiplicity 0. On the benchmark's LM slice (K=100, 200 words)
-  that is 70 columns of 101. Ranking keys are folded once per dataset and shape,
-  regularizer draws once per fit.
+  (``fold_candidates``): a fixed width, that of the widest row, the row's
+  first cell (the observed one for ranking) in column 0, pad slots at
+  multiplicity 0. On the benchmark's LM slice (K=100, 200 words) that is
+  70 columns of 101. Ranking keys and regularizer draws are folded once
+  per closure, so once per fit.
 * The sampled softmaxes exponentiate the shifted table once, each context
   row shifted by its maximum, and gather the folded cells from it
   (``Workspace.gather``): m_x * m_y exps per call instead of one per
@@ -64,12 +65,13 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .model import ConditionalProblem, ScoringFunction, check_params, log_softmax_rows
-from .sampling import Dataset, NoiseDistribution, derive_rng, fold_candidates
+from .sampling import Dataset, NoiseDistribution, derive_rng
 
 OBJECTIVES = ("ranking", "binary", "mle", "population-ranking", "population-binary")
 GAMMA_OBJECTIVES = ("binary", "population-binary")  # their params end in gamma
 TERM_BUDGET = 10**7
 _COUNT_BLOCK = 1 << 16  # cells per block of count vectors, exact or sampled
+_FOLD_BLOCK = 1 << 14  # candidate entries per block of fold_candidates
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -132,6 +134,90 @@ def _row_sum(e: np.ndarray, out: np.ndarray) -> np.ndarray:
     for column in e.T[1:]:
         out += column
     return out
+
+
+# --------------------------------------------------------------------------
+# how each loss reads a dataset
+
+
+def count_table(x: np.ndarray, labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """How often each cell of a ``shape`` table is (x[i], labels[i, j]), labels (n, c)."""
+    cells = (x[:, None] * shape[1] + labels).ravel()
+    return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def fold_candidates(
+    x: np.ndarray, first: np.ndarray, rest: np.ndarray, m_y: int, block: int = _FOLD_BLOCK
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold each row's candidate labels (first[i], *rest[i]) of context x[i]
+    into its distinct flat cells x * m_y + label, with multiplicities.
+
+    ``rest`` is (n, c), each row sorted. Returns (index, mult), both (n, W)
+    with W the largest distinct count of a row. Column 0 holds the first cell,
+    counted with its repeats in ``rest``; the row's other distinct cells follow
+    in increasing order, and pad slots repeat column 0's cell at multiplicity
+    0. ``mult`` takes the narrowest unsigned dtype that holds c + 1. Rows are
+    folded ``block // c`` at a time, so temporaries stay small.
+    """
+    n, c = rest.shape
+    rows = max(1, block // max(c, 1))
+    spans = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+
+    def columns(lo, hi):
+        """Each candidate's column: 0 for the first label, else 1 + the rank of its
+        label among the row's other distinct labels (a run opens where the sorted
+        label changes). Flat scans, since numpy is slow along short rows."""
+        r = rest[lo:hi]
+        not_first = r != first[lo:hi, None]
+        opens = np.ones(r.shape, dtype=bool)
+        np.not_equal(r.ravel()[1:], r.ravel()[:-1], out=opens.ravel()[1:])
+        opens[:, :1] = True
+        opens &= not_first
+        # int32 holds a block's count and scans faster than numpy's int64 bool scan
+        col = np.cumsum(opens.ravel(), dtype=np.int32).reshape(r.shape)
+        col -= col[:, :1] - opens[:, :1]
+        return np.multiply(col, not_first, out=col)
+
+    width = 1 + max((int(columns(lo, hi).max(initial=0)) for lo, hi in spans), default=0)
+    index = np.repeat((x * m_y + first)[:, None], width, axis=1)
+    mult = np.empty((n, width), dtype=np.min_scalar_type(c + 1))
+    for lo, hi in spans:
+        slot = columns(lo, hi) + np.arange(0, (hi - lo) * width, width)[:, None]
+        block_mult = np.bincount(slot.ravel(), minlength=(hi - lo) * width).reshape(-1, width)
+        block_mult[:, 0] += 1
+        mult[lo:hi] = block_mult
+        # repeats of a label write its one cell again
+        index[lo:hi].reshape(-1)[slot] = x[lo:hi, None] * m_y + rest[lo:hi]
+    return index, mult
+
+
+def fold_draws(x_idx: np.ndarray, draws: np.ndarray, m_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regularizer's (n, m) draws folded into (index, mult), each row's first draw in column 0."""
+    return fold_candidates(x_idx, draws[:, 0], np.sort(draws[:, 1:], axis=1), m_y)
+
+
+def ranking_keys(data: Dataset, shape: tuple[int, int]):
+    """The rows (x, y, negatives) folded into distinct ranking keys, each key
+    folded into its distinct candidate cells: (index, mult, counts), index and
+    mult (u, W) as ``fold_candidates`` gives them, counts (u,) the float
+    occurrences of each key, summing to n.
+
+    The ranking loss is symmetric in the negatives, so a row is keyed by its
+    observed cell and its sorted negative labels, packed into one int64 in
+    base m_y. Keys come in increasing order. When the packed range
+    m_x * m_y**(K+1) does not fit an int64 the rows stay as they are, each
+    with count 1.0.
+    """
+    m_x, m_y = shape
+    x, y, rest, counts = data.x, data.y, np.sort(data.negatives, axis=1), np.ones(data.n)
+    # Python ints: a numpy integer power would wrap instead of growing
+    if int(m_x) * int(m_y) ** (data.k + 1) < 2**63:
+        packed = x * m_y + y
+        for label in rest.T:
+            packed = packed * m_y + label
+        _, first, repeats = np.unique(packed, return_index=True, return_counts=True)
+        x, y, rest, counts = x[first], y[first], rest[first], repeats.astype(np.float64)
+    return (*fold_candidates(x, y, rest, m_y), counts)
 
 
 class Workspace:
@@ -197,11 +283,6 @@ def _workspaces(layouts, shape: tuple[int, int]):
     return workspaces, index, e
 
 
-def fold_draws(x_idx: np.ndarray, draws: np.ndarray, m_y: int) -> tuple[np.ndarray, np.ndarray]:
-    """The regularizer's (n, m) draws folded into (index, mult), each row's first draw in column 0."""
-    return fold_candidates(x_idx, draws[:, 0], np.sort(draws[:, 1:], axis=1), m_y)
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValidationError(f"K must be >= 1, got {k}")
@@ -247,7 +328,9 @@ def value_grad_fn(
     exp shat(x_i, draws_ij))^2 runs over the (n, m) ``draws`` of ``data.x``;
     its inner mean estimates Z(x_i; theta), so it pushes log Z toward 0.
     ``objective`` None leaves the penalty alone; a misused input raises
-    ValidationError when the closure is built.
+    ValidationError when the closure is built. Building it also bounds-checks
+    a dataset and folds it for the loss (``count_table``, ``ranking_keys``)
+    and the penalty (``fold_draws``), once however often the closure is called.
 
     Each call makes one score table, one row-shifted exp table when a sampled
     softmax needs one, one (m_x, m_y) table of weights on grad s that the loss
@@ -271,31 +354,32 @@ def value_grad_fn(
     if noise is not None and noise.size != sf.m_y:
         raise ValidationError(f"noise size {noise.size} != label count {sf.m_y}")
     if alpha > 0:
-        data.check_bounds(*shape)  # the penalty reads data.x
         if draws is None or np.ndim(draws) != 2 or len(draws) != data.n:
             raise ValidationError(f"the log Z penalty needs (n={data.n}, m) draws")
     elif objective is None:
         raise ValidationError("no objective and no penalty to evaluate")
+    if not population:
+        data.check_bounds(*shape)  # once per closure, before any fold reads the dataset
     has_gamma = objective in GAMMA_OBJECTIVES
     layouts, loss, unit = [], None, 1.0  # the table holds unit times the weights on grad s
     if objective == "mle":
-        counts, unit = data.tables(*shape).positives, data.n
+        counts, unit = count_table(data.x, data.y[:, None], shape), data.n
         row_counts = counts.sum(axis=1)[:, None]
 
         def loss(s, shat, gamma):
             log_p = log_softmax_rows(s)[1]
             return float(np.mean(log_p[data.x, data.y])), counts - row_counts * np.exp(log_p)
     elif objective == "ranking":
-        keys = data.ranking_keys(*shape)
-        layouts.append((keys.index, keys.mult))
-        weight = keys.counts / data.n
+        cells, mult, counts = ranking_keys(data, shape)
+        layouts.append((cells, mult))
+        weight = counts / data.n
 
         def loss(s, shat, gamma):
             ws = workspaces[0]
             lse, coeff, row_sum = ws.gather(shat, exp_table)
             coeff *= (-weight / row_sum)[:, None]
             coeff[:, 0] += weight
-            value = float(np.sum(keys.counts * (shat.ravel()[ws.index[:, 0]] - lse)) / data.n)
+            value = float(np.sum(counts * (shat.ravel()[ws.index[:, 0]] - lse)) / data.n)
             return value, None
     elif objective == "population-ranking":
         _check_k(k)
@@ -311,8 +395,8 @@ def value_grad_fn(
             return total, table
     elif has_gamma:
         if objective == "binary":
-            tables = data.tables(*shape)
-            k, w_pos, w_neg = data.k, tables.positives / data.n, tables.negatives / data.n
+            k, w_pos = data.k, count_table(data.x, data.y[:, None], shape) / data.n
+            w_neg = count_table(data.x, data.negatives, shape) / data.n
         else:
             _check_k(k)
             w_pos, w_neg = data.p_xy, k * data.p_x[:, None] * noise.probs[None, :]
@@ -368,7 +452,7 @@ def ranking_objective(
     """Mean log-probability of ranking the true label above its negatives.
 
     One pass over the dataset's distinct (x, y, sorted negatives) keys of
-    ``Dataset.ranking_keys``, each term weighted by the key's count and each
+    ``ranking_keys``, each term weighted by the key's count and each
     key's candidates folded into its distinct cells.
     """
     return value_grad_fn(sf, dataset, noise, "ranking")(theta)[0]

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +24,11 @@ from .model import (
     problem_from_scores,
 )
 
-_FOLD_BLOCK = 1 << 14  # candidate entries per block of fold_candidates
-
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent Philox stream for (seed, key...)."""
+    """Independent Philox stream for (seed, key...); every random stream starts here."""
+    if min((seed, *key)) < 0:
+        raise ValidationError(f"seed and stream must be nonnegative, got seed {seed}, key {key}")
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -130,67 +129,6 @@ class SamplingConfig:
             raise ValidationError("seed and stream must be nonnegative")
 
 
-class DatasetTables(NamedTuple):
-    """A dataset seen through an (m_x, m_y) score table."""
-
-    positives: np.ndarray  # (m_x, m_y) times each cell is an observed pair
-    negatives: np.ndarray  # (m_x, m_y) times each cell is a sampled negative
-
-
-class RankingKeys(NamedTuple):
-    """A dataset's distinct ranking tuples, each folded by ``fold_candidates``,
-    and how often each occurs."""
-
-    index: np.ndarray  # (u, W) distinct flat cells, observed cell in column 0
-    mult: np.ndarray  # (u, W) how often each cell is a candidate; 0 in pad slots
-    counts: np.ndarray  # (u,) float occurrences of each row; they sum to n
-
-
-def fold_candidates(
-    x: np.ndarray, first: np.ndarray, rest: np.ndarray, m_y: int, block: int = _FOLD_BLOCK
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold each row's candidate labels (first[i], *rest[i]) of context x[i]
-    into its distinct flat cells x * m_y + label, with multiplicities.
-
-    ``rest`` is (n, c), each row sorted. Returns (index, mult), both (n, W)
-    with W the largest distinct count of a row. Column 0 holds the first cell,
-    counted with its repeats in ``rest``; the row's other distinct cells follow
-    in increasing order, and pad slots repeat column 0's cell at multiplicity
-    0. ``mult`` takes the narrowest unsigned dtype that holds c + 1. Rows are
-    folded ``block // c`` at a time, so temporaries stay small.
-    """
-    n, c = rest.shape
-    rows = max(1, block // max(c, 1))
-    spans = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
-
-    def columns(lo, hi):
-        """Each candidate's column: 0 for the first label, else 1 + the rank of its
-        label among the row's other distinct labels (a run opens where the sorted
-        label changes). Flat scans, since numpy is slow along short rows."""
-        r = rest[lo:hi]
-        not_first = r != first[lo:hi, None]
-        opens = np.ones(r.shape, dtype=bool)
-        np.not_equal(r.ravel()[1:], r.ravel()[:-1], out=opens.ravel()[1:])
-        opens[:, :1] = True
-        opens &= not_first
-        # int32 holds a block's count and scans faster than numpy's int64 bool scan
-        col = np.cumsum(opens.ravel(), dtype=np.int32).reshape(r.shape)
-        col -= col[:, :1] - opens[:, :1]
-        return np.multiply(col, not_first, out=col)
-
-    width = 1 + max((int(columns(lo, hi).max(initial=0)) for lo, hi in spans), default=0)
-    index = np.repeat((x * m_y + first)[:, None], width, axis=1)
-    mult = np.empty((n, width), dtype=np.min_scalar_type(c + 1))
-    for lo, hi in spans:
-        slot = columns(lo, hi) + np.arange(0, (hi - lo) * width, width)[:, None]
-        block_mult = np.bincount(slot.ravel(), minlength=(hi - lo) * width).reshape(-1, width)
-        block_mult[:, 0] += 1
-        mult[lo:hi] = block_mult
-        # repeats of a label write its one cell again
-        index[lo:hi].reshape(-1)[slot] = x[lo:hi, None] * m_y + rest[lo:hi]
-    return index, mult
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Positive pairs plus an (n, K) matrix of sampled negative labels."""
@@ -199,8 +137,6 @@ class Dataset:
     y: np.ndarray
     negatives: np.ndarray
     provenance: dict
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "negatives"):
@@ -233,51 +169,6 @@ class Dataset:
         labels = (self.y, self.negatives)
         if min(a.min() for a in labels) < 0 or max(a.max() for a in labels) >= m_y:
             raise ValidationError("dataset: label index out of range")
-
-    def tables(self, m_x: int, m_y: int) -> DatasetTables:
-        """Count tables, built and bounds-checked once per shape; the dataset
-        is immutable, so they never go stale."""
-        if (m_x, m_y) not in self._tables:
-            self.check_bounds(m_x, m_y)
-            cells = m_x * m_y
-            positives = np.bincount(self.x * m_y + self.y, minlength=cells).reshape(m_x, m_y)
-            negatives = np.bincount(
-                (self.x[:, None] * m_y + self.negatives).ravel(), minlength=cells
-            ).reshape(m_x, m_y)
-            for arr in (positives, negatives):
-                arr.flags.writeable = False
-            self._tables[(m_x, m_y)] = DatasetTables(positives, negatives)
-        return self._tables[(m_x, m_y)]
-
-    def ranking_keys(self, m_x: int, m_y: int) -> RankingKeys:
-        """The rows (x, y, negatives) folded into distinct ranking keys, each
-        key folded into its distinct candidate cells.
-
-        The ranking loss is symmetric in the negatives, so a row is keyed by
-        its observed cell and its sorted negative labels, packed into one
-        int64 in base m_y. Keys come in increasing order. When the packed
-        range m_x * m_y**(K+1) does not fit an int64 the rows stay as they
-        are, each with count 1.0. Either way ``fold_candidates`` then folds
-        each row's K+1 candidates into its distinct cells with multiplicities,
-        the observed cell in column 0, from the sorted negatives. Built and
-        bounds-checked on the first call per shape, apart from ``tables`` so
-        that MLE and binary fits never pay for the sort.
-        """
-        if (m_x, m_y) not in self._keys:
-            self.check_bounds(m_x, m_y)
-            x, y, rest, counts = self.x, self.y, np.sort(self.negatives, axis=1), np.ones(self.n)
-            # Python ints: a numpy integer power would wrap instead of growing
-            if int(m_x) * int(m_y) ** (self.k + 1) < 2**63:
-                packed = x * m_y + y
-                for label in rest.T:
-                    packed = packed * m_y + label
-                _, first, repeats = np.unique(packed, return_index=True, return_counts=True)
-                x, y, rest, counts = x[first], y[first], rest[first], repeats.astype(np.float64)
-            keys = RankingKeys(*fold_candidates(x, y, rest, m_y), counts)
-            for arr in keys:
-                arr.flags.writeable = False
-            self._keys[(m_x, m_y)] = keys
-        return self._keys[(m_x, m_y)]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -366,6 +257,12 @@ def _gaussian_mixture(rng: np.random.Generator, shape) -> np.ndarray:
     return means + rng.standard_normal(shape)
 
 
+def _check_sizes(d: int, m_x: int, m_y: int) -> None:
+    """The size check every synthetic generator shares."""
+    if min(d, m_x) < 1 or m_y < 2:
+        raise ValidationError(f"bad synthetic sizes d={d}, m_x={m_x}, m_y={m_y}")
+
+
 def make_synthetic_problem(d: int, m_x: int, m_y: int, seed: int) -> ConditionalProblem:
     """Per-label linear model with mixture-of-Gaussians inputs and weights.
 
@@ -373,8 +270,7 @@ def make_synthetic_problem(d: int, m_x: int, m_y: int, seed: int) -> Conditional
     resulting problem is generically *not* self-normalized, which is
     exactly what separates the ranking and binary estimators.
     """
-    if min(d, m_x) < 1 or m_y < 2:
-        raise ValidationError(f"bad synthetic sizes d={d}, m_x={m_x}, m_y={m_y}")
+    _check_sizes(d, m_x, m_y)
     rng = derive_rng(seed, 0)
     inputs = _gaussian_mixture(rng, (m_x, d))
     weights = _gaussian_mixture(rng, (m_y, d))
@@ -385,6 +281,7 @@ def make_synthetic_problem(d: int, m_x: int, m_y: int, seed: int) -> Conditional
 
 def random_tabular_problem(m_x: int, m_y: int, d: int, seed: int) -> ConditionalProblem:
     """Random dense-feature problem whose truth is its own model (realizable)."""
+    _check_sizes(d, m_x, m_y)
     rng = derive_rng(seed, 1)
     features = rng.standard_normal((m_x, m_y, d))
     theta_star = rng.standard_normal(d) / np.sqrt(d)
@@ -402,6 +299,7 @@ def make_self_normalized_problem(m_x: int, m_y: int, d: int, seed: int) -> Condi
     stays identifiable as long as the v_j differences span R^d (so m_y
     must exceed d), which holds generically for random draws.
     """
+    _check_sizes(d, m_x, m_y)
     if m_y <= d:
         raise ValidationError(
             f"need m_y > d for an identifiable construction, got m_y={m_y}, d={d}"

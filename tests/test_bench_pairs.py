@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,25 @@ def test_regression_is_a_median_worse_by_more_than_the_bound():
 def test_revision_needs_a_git_checkout(tmp_path):
     with pytest.raises(SystemExit, match="not a git checkout"):
         bench_pairs.revision(tmp_path)
+
+
+def test_sides_record_each_checkout_revision_and_absolute_path(tmp_path, monkeypatch):
+    for name in ("parent", "change"):
+        checkout = tmp_path / name
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+        git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+        subprocess.run(git + ["add", "BENCHMARK.json"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", name], check=True)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: side(1.0))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "parent", "--change", "./change", "--workload", "lm",
+                             "--pairs", "1", "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["paths"] == {"parent": str(tmp_path.resolve() / "parent"),
+                            "change": str(tmp_path.resolve() / "change")}
+    assert set(doc["sides"]) == {"parent", "change"}
+    assert all(len(rev) >= 7 and not rev.endswith("-dirty") for rev in doc["sides"].values())

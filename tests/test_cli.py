@@ -62,6 +62,39 @@ class TestSynth:
         assert len(manifest["digest"]) == 16
 
 
+class TestSeedsAndSizes:
+    """A negative seed or a synthetic size below 1 exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["synth", "replicate", "asymptotics"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        problem = tmp_path / "id.json"
+        assert run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
+                    "--out", problem]) == 0
+        argv = {
+            "synth": ["synth", "--d", 2, "--m-x", 3, "--m-y", 4],
+            "replicate": ["replicate", "--problem", problem, "--n", 100, "--replications", 2],
+            "asymptotics": ["asymptotics", "--problem", problem, "--K", 2, "--mode", "mc:100"],
+        }[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run(argv + ["--seed", -1, "--out", out / "result.json"]) == 2
+        assert "seed and stream must be nonnegative" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("features", ["--d", 0]), ("features", ["--d", -1]), ("features", ["--m-x", -1]),
+        ("self-normalized", ["--d", 0]), ("self-normalized", ["--d", -1]),
+        ("self-normalized", ["--m-x", -1]), ("softmax", ["--d", 0]),
+    ])
+    def test_synth_sizes_below_1_exit_2_and_write_nothing(self, tmp_path, capsys, kind, flags):
+        capsys.readouterr()
+        argv = ["synth", "--kind", kind, "--m-y", 4, *flags, "--out", tmp_path / "p.json"]
+        assert run(argv) == 2
+        assert "bad synthetic sizes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFit:
     def test_writes_report_trace_and_manifest(self, problem_file, tmp_path):
         out = tmp_path / "fit.json"
@@ -520,6 +553,11 @@ MALFORMED_INPUTS = {
         provenance={"k": 2, "n": 9},
     ),
     "non-integer-m_x": lambda tmp: _problem_with(tmp, m_x="x"),
+    # a hand-written problem whose scorer has no parameters
+    "softmax-d-0": lambda tmp: _problem_with(tmp, d=0, features=[], theta_star=[]),
+    "features-d-0": lambda tmp: _problem_with(
+        tmp, variant="linear-features", d=0, features=[], theta_star=[]
+    ),
     "non-string-variant": lambda tmp: _problem_with(tmp, variant=3),
     "fit-negative-n": lambda tmp: ["fit", "--problem", tmp / "problem.json", "--n", -5],
     "replicate-negative-n": lambda tmp: _features_problem(tmp) + ["--n", -1],

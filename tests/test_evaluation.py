@@ -15,6 +15,7 @@ from ncelab import (
     log_cond_prob_table,
     random_tabular_problem,
 )
+from ncelab import evaluation
 from ncelab.lm import HistoryTable, Vocab, corpus_perplexity
 
 
@@ -101,6 +102,25 @@ class TestGaugeInvariance:
         assert result.kl == pytest.approx(0.0, abs=1e-12)
         assert result.d_metric == pytest.approx(0.0, abs=1e-15)
         assert result.worst_tv == pytest.approx(0.0, abs=1e-12)
+
+    def test_evaluate_builds_one_conditional_table(self, monkeypatch):
+        prob = random_tabular_problem(3, 4, 2, seed=9)
+        theta = prob.theta_star + 0.3
+        calls = []
+
+        def counting(sf, theta):
+            calls.append(1)
+            return log_cond_prob_table(sf, theta)
+
+        monkeypatch.setattr(evaluation, "log_cond_prob_table", counting)
+        result = evaluate(prob, prob.scoring, theta)
+        assert len(calls) == 1
+        assert result.kl == kl_divergence(prob, prob.scoring, theta)
+        assert result.d_metric == d_metric(prob, prob.scoring, theta)
+        q, p = np.exp(log_cond_prob_table(prob.scoring, theta)), prob.p_y_given_x
+        assert result.worst_tv == max(0.5 * np.abs(q[x] - p[x]).sum() for x in range(3))
+        with pytest.raises(ValidationError, match="does not match"):
+            evaluate(counterexample_problem(), prob.scoring, theta)
 
 
 def bigram_table_model(vocab, log_probs):

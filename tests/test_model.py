@@ -153,6 +153,14 @@ class TestScoreGrad:
         with pytest.raises(ValidationError, match="dim must be >= 1"):
             LogBilinear(np.zeros((2, 1), dtype=int), 3, dim)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LinearFeatures(np.zeros((2, 3, 0))),
+        lambda: LinearSoftmax(np.zeros((2, 0)), 3),
+    ])
+    def test_linear_scorers_reject_d_below_1(self, make):
+        with pytest.raises(ValidationError, match="d must be >= 1"):
+            make()
+
     def test_log_bilinear_has_no_grad_table(self):
         sf = LogBilinear(np.zeros((2, 1), dtype=int), 3, 2)
         with pytest.raises(NotImplementedError):

@@ -38,13 +38,15 @@ from ncelab import (
 )
 from ncelab import objectives
 from ncelab.model import log_softmax_rows
-from ncelab.sampling import fold_candidates
 from ncelab.objectives import (
     _binary_terms,
     _row_sum,
     _workspaces,
+    count_table,
     count_vectors,
+    fold_candidates,
     fold_draws,
+    ranking_keys,
     value_grad_fn,
 )
 
@@ -972,23 +974,53 @@ class TestWorkspace:
 
 
 class TestDatasetTables:
-    def test_built_once_per_shape(self):
+    def test_count_tables_per_cell(self):
         ds = Dataset(x=[0, 1, 1], y=[2, 0, 2], negatives=[[1, 1], [0, 2], [2, 2]], provenance={})
-        tables = ds.tables(2, 3)
-        assert ds.tables(2, 3) is tables
-        # count tables only: the (n, K+1) candidate index is not kept
-        assert tables._fields == ("positives", "negatives")
-        np.testing.assert_array_equal(tables.positives, [[0, 0, 1], [1, 0, 1]])
-        np.testing.assert_array_equal(tables.negatives, [[0, 2, 0], [1, 0, 3]])
-        assert ds.tables(2, 4) is not tables
+        positives = count_table(ds.x, ds.y[:, None], (2, 3))
+        np.testing.assert_array_equal(positives, [[0, 0, 1], [1, 0, 1]])
+        np.testing.assert_array_equal(count_table(ds.x, ds.negatives, (2, 3)), [[0, 2, 0], [1, 0, 3]])
+        assert count_table(ds.x, ds.y[:, None], (2, 4)).shape == (2, 4)
 
     def test_bounds_checked_for_every_shape(self):
         ds = Dataset(x=[0], y=[2], negatives=[[1]], provenance={})
-        ds.tables(1, 3)
+        ds.check_bounds(1, 3)
         with pytest.raises(ValidationError, match="label index"):
-            ds.tables(1, 2)
+            ds.check_bounds(1, 2)
         with pytest.raises(ValidationError, match="x index"):
-            Dataset(x=[1], y=[0], negatives=[[0]], provenance={}).tables(1, 2)
+            Dataset(x=[1], y=[0], negatives=[[0]], provenance={}).check_bounds(1, 2)
+        sf, noise = LinearFeatures(np.zeros((1, 2, 1))), NoiseDistribution.uniform(2)
+        for objective in ("mle", "binary", "ranking"):
+            with pytest.raises(ValidationError, match="label index"):
+                value_grad_fn(sf, ds, noise, objective)
+
+    @pytest.mark.parametrize("objective, alpha, builds", [
+        ("mle", 0.0, ["count_table"]),
+        ("binary", 0.0, ["count_table"] * 2),
+        ("ranking", 0.0, ["ranking_keys"]),
+        ("ranking", 0.5, ["ranking_keys", "fold_draws"]),
+        (None, 0.5, ["fold_draws"]),
+    ])
+    def test_one_closure_folds_and_checks_its_dataset_once(self, monkeypatch, objective, alpha,
+                                                           builds):
+        calls = []
+
+        def counting(name, inner):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return wrapped
+
+        for name in ("count_table", "ranking_keys", "fold_draws"):
+            monkeypatch.setattr(objectives, name, counting(name, getattr(objectives, name)))
+        monkeypatch.setattr(Dataset, "check_bounds", counting("check_bounds", Dataset.check_bounds))
+        problem, noise, ds, theta = small_setup(seed=43, n=40)
+        params = np.append(theta, 0.3) if objective == "binary" else theta
+        value_grad = value_grad_fn(problem.scoring, ds, noise, objective,
+                                   draws=ds.negatives, alpha=alpha)
+        assert sorted(calls) == sorted(["check_bounds", *builds])
+        for _ in range(3):
+            value_grad(params)
+        assert sorted(calls) == sorted(["check_bounds", *builds])
 
     def test_dataset_is_immutable(self):
         ds = Dataset(x=[0], y=[1], negatives=[[0]], provenance={})
@@ -1031,13 +1063,12 @@ class TestRankingFold:
     @given(repeated_rows())
     def test_keys_are_distinct_counts_match_a_brute_force_count(self, case):
         sf, _, ds, _ = case
-        keys = ds.ranking_keys(sf.m_x, sf.m_y)
-        assert ds.ranking_keys(sf.m_x, sf.m_y) is keys
-        assert keys.index.shape == keys.mult.shape and keys.index.shape[0] == keys.counts.size
-        assert keys.counts.dtype == np.float64 and keys.counts.sum() == ds.n
+        index, mults, counts = ranking_keys(ds, (sf.m_x, sf.m_y))
+        assert index.shape == mults.shape and index.shape[0] == counts.size
+        assert counts.dtype == np.float64 and counts.sum() == ds.n
         # each folded key back as (observed cell, sorted negative cells)
         rows = []
-        for cells, mult in zip(keys.index, keys.mult):
+        for cells, mult in zip(index, mults):
             candidates = sorted(np.repeat(cells, mult).tolist())
             candidates.remove(int(cells[0]))
             rows.append((int(cells[0]), *candidates))
@@ -1046,17 +1077,17 @@ class TestRankingFold:
             (int(x) * sf.m_y + int(y), *sorted(int(x) * sf.m_y + int(v) for v in negs))
             for x, y, negs in zip(ds.x, ds.y, ds.negatives)
         )
-        assert dict(zip(rows, keys.counts.tolist())) == brute
+        assert dict(zip(rows, counts.tolist())) == brute
 
     def test_largest_packable_range_folds(self):
         # m_x * m_y**(K+1) = 2**62: the largest key, 2**62 - 1, still fits
         k = 61
         negatives = [[1] * k, [0] * k, [1] * (k - 1) + [0], [0] + [1] * (k - 1)]
         ds = Dataset(x=[0, 0, 0, 0], y=[1, 1, 1, 1], negatives=negatives, provenance={})
-        keys = ds.ranking_keys(1, 2)
-        np.testing.assert_array_equal(keys.counts, [1.0, 2.0, 1.0])
-        np.testing.assert_array_equal(keys.index, [[1, 0], [1, 0], [1, 1]])
-        np.testing.assert_array_equal(keys.mult, [[1, k], [k, 1], [k + 1, 0]])
+        index, mult, counts = ranking_keys(ds, (1, 2))
+        np.testing.assert_array_equal(counts, [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(index, [[1, 0], [1, 0], [1, 1]])
+        np.testing.assert_array_equal(mult, [[1, k], [k, 1], [k + 1, 0]])
 
     def test_wide_keys_fold_each_row_alone(self):
         # m_x * m_y**(K+1) = 2**63 does not fit an int64: no fold across rows,
@@ -1069,11 +1100,11 @@ class TestRankingFold:
             x=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
             negatives=rng.integers(0, 2, (n, k)), provenance={},
         )
-        keys = ds.ranking_keys(2, 2)
-        np.testing.assert_array_equal(keys.counts, np.ones(n))
-        assert keys.index.shape == (n, 2)
-        np.testing.assert_array_equal(keys.index[:, 0], ds.x * 2 + ds.y)
-        np.testing.assert_array_equal(keys.mult.sum(axis=1), np.full(n, k + 1))
+        index, mult, counts = ranking_keys(ds, (2, 2))
+        np.testing.assert_array_equal(counts, np.ones(n))
+        assert index.shape == (n, 2)
+        np.testing.assert_array_equal(index[:, 0], ds.x * 2 + ds.y)
+        np.testing.assert_array_equal(mult.sum(axis=1), np.full(n, k + 1))
         theta = rng.standard_normal(sf.n_params)
         # the fold sums each cell's repeats as one product, so the bits move
         got = value_grad_fn(sf, ds, noise, "ranking")(theta)
@@ -1083,7 +1114,7 @@ class TestRankingFold:
         def refuse(*args):
             raise AssertionError("ranking fold built")
 
-        monkeypatch.setattr(Dataset, "ranking_keys", refuse)
+        monkeypatch.setattr(objectives, "ranking_keys", refuse)
         problem, noise, ds, theta = small_setup(seed=41, n=50)
         sf = problem.scoring
         value_grad_fn(sf, ds, None, "mle")(theta)

@@ -181,6 +181,11 @@ class TestGenerateDataset:
         u = derive_rng(seed, 0, 1).random(400)
         np.testing.assert_array_equal(ds.y, (u[:, None] >= cum[ds.x]).sum(axis=1))
 
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (3, (0, -2))])
+    def test_negative_seed_or_key_is_a_validation_error(self, seed, key):
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            derive_rng(seed, *key)
+
     def test_deterministic(self):
         p = counterexample_problem()
         nd = NoiseDistribution.uniform(2)
