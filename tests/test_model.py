@@ -156,7 +156,7 @@ class TestScoreGrad:
     @pytest.mark.parametrize("make", [
         lambda: LinearFeatures(np.zeros((2, 3, 0))),
         lambda: LinearSoftmax(np.zeros((2, 0)), 3),
-    ])
+    ], ids=["linear-features", "linear-softmax"])
     def test_linear_scorers_reject_d_below_1(self, make):
         with pytest.raises(ValidationError, match="d must be >= 1"):
             make()

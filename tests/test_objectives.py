@@ -978,8 +978,10 @@ class TestDatasetTables:
         ds = Dataset(x=[0, 1, 1], y=[2, 0, 2], negatives=[[1, 1], [0, 2], [2, 2]], provenance={})
         positives = count_table(ds.x, ds.y[:, None], (2, 3))
         np.testing.assert_array_equal(positives, [[0, 0, 1], [1, 0, 1]])
-        np.testing.assert_array_equal(count_table(ds.x, ds.negatives, (2, 3)), [[0, 2, 0], [1, 0, 3]])
-        assert count_table(ds.x, ds.y[:, None], (2, 4)).shape == (2, 4)
+        negatives = count_table(ds.x, ds.negatives, (2, 3))
+        np.testing.assert_array_equal(negatives, [[0, 2, 0], [1, 0, 3]])
+        wider = count_table(ds.x, ds.y[:, None], (2, 4))
+        np.testing.assert_array_equal(wider, [[0, 0, 1, 0], [1, 0, 1, 0]])
 
     def test_bounds_checked_for_every_shape(self):
         ds = Dataset(x=[0], y=[2], negatives=[[1]], provenance={})
