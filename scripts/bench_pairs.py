@@ -14,7 +14,11 @@ there are at least ten pairs, the change wins at least nine tenths of
 them, and the medians differ by more than the parent's interquartile
 range. ``regression`` marks a metric whose change median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json times the
-parent's median. Runs last ``run_seconds`` of the change's BENCHMARK.json;
+parent's median. ``unresolved`` marks a metric with a bound whose parent
+interquartile range exceeds that bound times the parent's median, unless
+every change run beats every parent run: the parent's own spread is then
+wider than the bound, so a median inside the bound does not show that the
+metric held. Runs last ``run_seconds`` of the change's BENCHMARK.json;
 ``sides`` records each checkout's ``git describe --always --dirty`` and
 ``paths`` its absolute path, since a checkout's path alone can move
 ``peak_rss_mib``. ``--out`` is overwritten.
@@ -69,7 +73,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[dict], lower_is_better: dict[str, bool],
               bounds: dict[str, float] | None = None) -> dict:
     """Per-metric medians, quartiles, the change's wins and, for metrics with a
-    bound, whether the change regressed, over a workload's pairs."""
+    bound, whether the change regressed and whether the parent's spread leaves
+    the metric unresolved, over a workload's pairs."""
     out = {"pairs": len(pairs)}
     for side in SIDES:
         attempted = sum(p[side]["result"]["attempted"] for p in pairs)
@@ -87,10 +92,14 @@ def summarize(pairs: list[dict], lower_is_better: dict[str, bool],
             q1, median, q3 = quartiles(values[side])
             row[side] = {"median": median, "q1": q1, "q3": q3}
         gap = sign * (row["parent"]["median"] - row["change"]["median"])
-        row["gain"] = (len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
-                       and gap > row["parent"]["q3"] - row["parent"]["q1"])
+        iqr = row["parent"]["q3"] - row["parent"]["q1"]
+        row["gain"] = len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs) and gap > iqr
         bound = (bounds or {}).get(name)
-        row["regression"] = bound is not None and -gap > bound * abs(row["parent"]["median"])
+        tolerance = None if bound is None else bound * abs(row["parent"]["median"])
+        row["regression"] = tolerance is not None and -gap > tolerance
+        beats_all = (max(sign * c for c in values["change"])
+                     < min(sign * p for p in values["parent"]))
+        row["unresolved"] = tolerance is not None and iqr > tolerance and not beats_all
         metrics[name] = row
     out["metrics"] = metrics
     return out

@@ -32,6 +32,7 @@ from .sampling import (
     NoiseDistribution,
     SamplingConfig,
     counterexample_problem,
+    derive_rng,
     generate_dataset,
     load_dataset_jsonl,
     make_self_normalized_problem,
@@ -114,7 +115,7 @@ def cmd_fit(args, manifest):
         reg = RegularizerConfig(alpha=args.reg_alpha, m=args.reg_m, seed=args.seed, stream=3)
     cfg = FitConfig(
         objective=args.estimator,
-        k=args.K,
+        k=dataset.k,  # a loaded dataset's own K, whatever --K says
         reg=reg,
         max_iters=args.max_iters,
         tol=args.tol,
@@ -216,6 +217,7 @@ def cmd_counterexample(args, manifest):
 
 
 def cmd_asymptotics(args, manifest):
+    derive_rng(args.seed)  # a negative seed fails here, before any covariance, in exact mode too
     problem = _load_problem(args, manifest)
     noise = noise_from_spec(args.noise, problem.p_y)
     ks = _parse_k_list(args.K)
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an estimator on a problem or dataset")
     p.add_argument("--problem", required=True)
-    p.add_argument("--dataset", help="JSONL dataset; generated when omitted")
+    p.add_argument("--dataset", help="JSONL dataset, whose K replaces --K; generated when omitted")
     p.add_argument("--n", type=int, default=10000, help="sample size when generating")
     p.add_argument("--context-bias", action="store_true",
                    help="add per-context bias parameters to the estimator")

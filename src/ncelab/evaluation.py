@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 from .model import ConditionalProblem, ScoringFunction, log_cond_prob_table
 
 
@@ -28,11 +28,7 @@ class EvalResult:
 
 def _log_q(problem: ConditionalProblem, sf: ScoringFunction, theta: np.ndarray) -> np.ndarray:
     """The estimated log p(y|x;theta) table, shape-checked against the problem."""
-    if (sf.m_x, sf.m_y) != (problem.m_x, problem.m_y):
-        raise ValidationError(
-            f"scoring function shape ({sf.m_x}, {sf.m_y}) does not match "
-            f"problem ({problem.m_x}, {problem.m_y})"
-        )
+    problem.check_bounds(sf.m_x, sf.m_y)
     return log_cond_prob_table(sf, theta)
 
 

@@ -19,6 +19,7 @@ exponentiation overflows for scores around 700.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -319,8 +320,7 @@ class ConditionalProblem:
             if self.scoring is None:
                 raise ValidationError("theta_star given without a scoring function")
             self.theta_star = check_params(self.theta_star, self.scoring.n_params)
-            if (self.scoring.m_x, self.scoring.m_y) != (self.m_x, self.m_y):
-                raise ValidationError("scoring function shape does not match p_y_given_x")
+            self.check_bounds(self.scoring.m_x, self.scoring.m_y)
             if self.gamma_star is not None:
                 worst = self_norm_deviation(self.scoring, self.theta_star, self.gamma_star)
                 if not worst <= SELF_NORM_TOL:  # a NaN score fails too
@@ -337,6 +337,20 @@ class ConditionalProblem:
     @property
     def m_y(self) -> int:
         return self.p_y_given_x.shape[1]
+
+    def check_bounds(self, m_x: int, m_y: int) -> None:
+        """Reject a scorer whose (m_x, m_y) table is not this problem's."""
+        if (m_x, m_y) != (self.m_x, self.m_y):
+            raise ValidationError(
+                f"scoring function shape ({m_x}, {m_y}) does not match "
+                f"problem ({self.m_x}, {self.m_y})"
+            )
+
+    def digest(self) -> str:
+        h = hashlib.sha256()
+        h.update(self.p_x.tobytes())
+        h.update(self.p_y_given_x.tobytes())
+        return h.hexdigest()[:16]
 
     @property
     def p_xy(self) -> np.ndarray:

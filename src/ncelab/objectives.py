@@ -328,9 +328,10 @@ def value_grad_fn(
     exp shat(x_i, draws_ij))^2 runs over the (n, m) ``draws`` of ``data.x``;
     its inner mean estimates Z(x_i; theta), so it pushes log Z toward 0.
     ``objective`` None leaves the penalty alone; a misused input raises
-    ValidationError when the closure is built. Building it also bounds-checks
-    a dataset and folds it for the loss (``count_table``, ``ranking_keys``)
-    and the penalty (``fold_draws``), once however often the closure is called.
+    ValidationError when the closure is built. Building it also checks the
+    data against the scorer's table (``check_bounds``), and folds a dataset for
+    the loss (``count_table``, ``ranking_keys``) and the penalty
+    (``fold_draws``), once however often the closure is called.
 
     Each call makes one score table, one row-shifted exp table when a sampled
     softmax needs one, one (m_x, m_y) table of weights on grad s that the loss
@@ -358,8 +359,7 @@ def value_grad_fn(
             raise ValidationError(f"the log Z penalty needs (n={data.n}, m) draws")
     elif objective is None:
         raise ValidationError("no objective and no penalty to evaluate")
-    if not population:
-        data.check_bounds(*shape)  # once per closure, before any fold reads the dataset
+    data.check_bounds(*shape)  # once per closure, before any fold reads the data
     has_gamma = objective in GAMMA_OBJECTIVES
     layouts, loss, unit = [], None, 1.0  # the table holds unit times the weights on grad s
     if objective == "mle":

@@ -39,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitializationError, ValidationError
-from .model import ConditionalProblem, ContextBias, ScoringFunction
+from .model import ContextBias, ScoringFunction
 from .objectives import (
     GAMMA_OBJECTIVES, OBJECTIVES, RegularizerConfig, regularizer_draws, value_grad_fn,
 )
-from .sampling import Dataset, NoiseDistribution, derive_rng
+from .sampling import NoiseDistribution, derive_rng
 
 _MIN_STEP = 1e-18
 _ARMIJO = 1e-4
@@ -252,7 +252,6 @@ def fit(
         theta, gamma = params[:-1].copy(), float(params[-1])
     else:
         theta, gamma = params.copy(), None
-    data_digest = data.digest() if isinstance(data, Dataset) else _problem_digest(data)
     return EstimationReport(
         objective_tag=cfg.objective,
         theta=theta,
@@ -266,12 +265,5 @@ def fit(
         message=message,
         trace_detail=trace_detail,
         config_digest=cfg.digest(),
-        data_digest=data_digest,
+        data_digest=data.digest(),
     )
-
-
-def _problem_digest(problem: ConditionalProblem) -> str:
-    h = hashlib.sha256()
-    h.update(problem.p_x.tobytes())
-    h.update(problem.p_y_given_x.tobytes())
-    return h.hexdigest()[:16]

@@ -196,8 +196,8 @@ def generate_dataset(
     noise: NoiseDistribution,
 ) -> Dataset:
     """Draw (x, y) pairs from the problem and attach sampled negatives."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     if noise.size != problem.m_y:
         raise ValidationError(
             f"noise size {noise.size} != label space size {problem.m_y}"
@@ -209,13 +209,6 @@ def generate_dataset(
         "n": int(n),
         "noise": noise.digest(),
     }
-    if n == 0:
-        return Dataset(
-            x=np.empty(0, dtype=np.int64),
-            y=np.empty(0, dtype=np.int64),
-            negatives=np.empty((0, cfg.k), dtype=np.int64),
-            provenance=provenance,
-        )
     rng_x = derive_rng(cfg.seed, cfg.stream, 0)
     rng_y = derive_rng(cfg.seed, cfg.stream, 1)
     cum_x = np.cumsum(problem.p_x)

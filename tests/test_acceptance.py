@@ -207,15 +207,19 @@ class TestAcceptance:
             noise = NoiseDistribution.uniform(20)
             sf = problem.scoring
 
+            reports = []
+
             def ranking_kl(n, seed):
                 ds = generate_dataset(problem, n, SamplingConfig(k=4, seed=seed), noise)
                 rep = fit(sf, ds, noise, FitConfig(objective="ranking", tol=1e-6, max_iters=2500))
+                reports.append(rep)
                 return kl_divergence(problem, sf, rep.theta)
 
             def binary_bias_kl(n, seed):
                 ds = generate_dataset(problem, n, SamplingConfig(k=4, seed=seed), noise)
                 wrapped = ContextBias(sf)
                 rep = fit(wrapped, ds, noise, FitConfig(objective="binary", tol=1e-6, max_iters=2500))
+                reports.append(rep)
                 return kl_divergence(problem, wrapped, rep.theta)
 
             kl_rank_small, kl_rank_big = ranking_kl(10**3, 1100), ranking_kl(10**5, 1105)
@@ -235,6 +239,7 @@ class TestAcceptance:
             kl_pop = kl_divergence(problem, sf, pop.theta)
             assert kl_pop > 0.05
             assert abs(kl_plateau - kl_pop) <= 0.25 * kl_pop
+            reports += [rep, pop]
         except BaseException as exc:
             _fail("criterion 4 (consistency curves)", exc)
             raise
@@ -242,7 +247,9 @@ class TestAcceptance:
             "criterion 4 (consistency curves)",
             f"ranking KL {kl_rank_small:.3f}->{kl_rank_big:.5f}, "
             f"binary+bias {kl_bias_small:.3f}->{kl_bias_big:.5f}, "
-            f"no-bias plateau {kl_plateau:.3f} (population {kl_pop:.3f})",
+            f"no-bias plateau {kl_plateau:.3f} (population {kl_pop:.3f}); "
+            f"{sum(r.converged for r in reports)} of {len(reports)} fits converged, "
+            f"largest |g| {max(r.grad_norm for r in reports):.1e}",
             t0,
             300.0,
         )
@@ -332,7 +339,9 @@ class TestAcceptance:
             f"rel Frobenius: mle {mle.rel_frobenius_error:.3f}, "
             f"ranking {rank.rel_frobenius_error:.3f}; "
             f"mse ratios {mle.empirical_mse / mle.theoretical_mse:.3f}, "
-            f"{rank.empirical_mse / rank.theoretical_mse:.3f}",
+            f"{rank.empirical_mse / rank.theoretical_mse:.3f}; "
+            f"{mle.converged + rank.converged} of {mle.replications + rank.replications} "
+            f"fits converged, largest |g| {max(mle.max_grad_norm, rank.max_grad_norm):.1e}",
             t0,
             600.0,
         )

@@ -111,6 +111,26 @@ def test_regression_is_a_median_worse_by_more_than_the_bound():
     assert rss["regression"] is False
 
 
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # parent median 10.0, IQR 3.0: wider than a 0.25 bound (2.5), within a 0.5 bound (5.0)
+    parent = [7.0, 9.0, 10.0, 12.0, 13.0]
+    for change, bound, unresolved in (
+        ([9.5, 10.0, 10.5, 9.0, 11.0], 0.25, True),
+        ([9.5, 10.0, 10.5, 9.0, 11.0], 0.5, False),
+        # every change run beats every parent run: resolved however wide the spread
+        ([6.0, 5.5, 6.5, 5.0, 6.9], 0.25, False),
+        # one change run does not: unresolved again
+        ([6.0, 5.5, 6.5, 5.0, 7.5], 0.25, True),
+    ):
+        out = bench_pairs.summarize(canned(parent, change), {"wall_s": True}, {"wall_s": bound})
+        assert out["metrics"]["wall_s"]["unresolved"] is unresolved
+    # higher is better: the change must beat every parent run from above
+    out = bench_pairs.summarize(canned(parent, [14.0] * 5), {"wall_s": False}, {"wall_s": 0.25})
+    assert out["metrics"]["wall_s"]["unresolved"] is False
+    # no bound, never unresolved
+    assert out["metrics"]["peak_rss_mib"]["unresolved"] is False
+
+
 def test_revision_needs_a_git_checkout(tmp_path):
     with pytest.raises(SystemExit, match="not a git checkout"):
         bench_pairs.revision(tmp_path)

@@ -65,15 +65,23 @@ class TestSynth:
 class TestSeedsAndSizes:
     """A negative seed or a synthetic size below 1 exits 2 and writes nothing."""
 
-    @pytest.mark.parametrize("command", ["synth", "replicate", "asymptotics"])
+    @pytest.mark.parametrize("command", ["synth", "replicate", "asymptotics",
+                                         "asymptotics-singular-fisher", "asymptotics-exact"])
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
-        problem = tmp_path / "id.json"
+        problem, soft = tmp_path / "id.json", tmp_path / "soft.json"
         assert run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
                     "--out", problem]) == 0
+        assert run(["synth", "--d", 2, "--m-x", 6, "--m-y", 4, "--out", soft]) == 0
         argv = {
             "synth": ["synth", "--d", 2, "--m-x", 3, "--m-y", 4],
             "replicate": ["replicate", "--problem", problem, "--n", 100, "--replications", 2],
             "asymptotics": ["asymptotics", "--problem", problem, "--K", 2, "--mode", "mc:100"],
+            # the MLE Fisher information of this softmax problem is singular, and
+            # the seed is checked before it is computed
+            "asymptotics-singular-fisher": ["asymptotics", "--problem", soft, "--K", 2,
+                                            "--mode", "mc:100"],
+            # exact mode draws nothing, yet a negative seed is still an error
+            "asymptotics-exact": ["asymptotics", "--problem", problem, "--K", 2],
         }[command]
         out = tmp_path / "out"
         out.mkdir()
@@ -148,6 +156,21 @@ class TestFit:
         a = json.loads(out1.read_text())
         b = json.loads(out2.read_text())
         assert a["theta"] == b["theta"]
+
+    def test_dataset_fit_takes_k_from_the_file(self, problem_file, tmp_path):
+        ds_path = tmp_path / "data.jsonl"
+        common = ["fit", "--problem", problem_file, "--estimator", "ranking", "--seed", 7,
+                  "--max-iters", 200]
+        assert run(common + ["--K", 3, "--n", 400, "--save-dataset", ds_path,
+                             "--out", tmp_path / "generated.json"]) == 0
+        reports = [json.loads((tmp_path / "generated.json").read_text())]
+        for name, k_flag in (("default", []), ("k9", ["--K", 9])):
+            out = tmp_path / f"{name}.json"
+            assert run(common + ["--dataset", ds_path, *k_flag, "--out", out]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert {r["k"] for r in reports} == {3}
+        assert len({r["config_digest"] for r in reports}) == 1
+        assert reports[1]["theta"] == reports[0]["theta"] == reports[2]["theta"]
 
     def test_reg_alpha_matches_the_library_fit(self, problem_file, tmp_path):
         out = tmp_path / "fit.json"
@@ -413,6 +436,8 @@ class TestReplicate:
 class TestThreadCount:
     SOFTMAX = ["--d", "4", "--m-x", "50", "--m-y", "20", "--seed", "42"]
     FEATURES = ["--kind", "features", "--d", "2", "--m-x", "3", "--m-y", "4", "--seed", "23"]
+    SELF_NORMALIZED = ["--kind", "self-normalized", "--d", "3", "--m-x", "6", "--m-y", "4",
+                       "--seed", "38"]
 
     @pytest.mark.parametrize(
         "synth, args",
@@ -428,13 +453,21 @@ class TestThreadCount:
                         "--reg-alpha", "0.5"]),
             (FEATURES, ["fit", "--estimator", "binary", "--K", "8", "--n", "2000",
                         "--reg-alpha", "0.5"]),
+            (SELF_NORMALIZED, ["asymptotics", "--estimator", "ranking", "--K", "1,2,4"]),
+            (SELF_NORMALIZED, ["asymptotics", "--estimator", "ranking", "--K", "8,16",
+                               "--mode", "mc:20000"]),
+            (SELF_NORMALIZED, ["asymptotics", "--estimator", "binary", "--K", "4,8"]),
+            (None, ["counterexample"]),
         ],
         ids=["fit-ranking", "fit-binary-bias", "replicate", "fit-ranking-folded",
-             "fit-ranking-folded-reg", "fit-binary-reg"],
+             "fit-ranking-folded-reg", "fit-binary-reg", "asymptotics-ranking-exact",
+             "asymptotics-ranking-mc", "asymptotics-binary", "counterexample"],
     )
     def test_results_identical_at_one_and_two_blas_threads(self, tmp_path, synth, args):
-        problem = tmp_path / "problem.json"
-        assert run(["synth", *synth, "--out", problem]) == 0
+        if synth is not None:  # counterexample builds its own problem and draws nothing
+            problem = tmp_path / "problem.json"
+            assert run(["synth", *synth, "--out", problem]) == 0
+            args = [*args, "--problem", str(problem), "--seed", "7"]
         src = str(Path(__file__).resolve().parents[1] / "src")
         results = []
         for threads in ("1", "2"):
@@ -446,8 +479,7 @@ class TestThreadCount:
                    "MKL_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             subprocess.run(
-                [sys.executable, "-m", "ncelab.cli", *args, "--problem", str(problem),
-                 "--seed", "7", "--out", "result.json"],
+                [sys.executable, "-m", "ncelab.cli", *args, "--out", "result.json"],
                 cwd=workdir, env=env, check=True, capture_output=True,
             )
             results.append({path.name: path.read_bytes() for path in sorted(workdir.iterdir())

@@ -281,6 +281,23 @@ class TestConditionalProblem:
         with pytest.raises(ValidationError, match="gamma_star"):
             ConditionalProblem(p.p_x, p.p_y_given_x, p.scoring, p.theta_star, float("nan"))
 
+    def test_check_bounds_accepts_only_the_problems_table(self):
+        p = counterexample_problem()
+        p.check_bounds(2, 2)
+        for shape in ((1, 2), (3, 2), (2, 3)):
+            with pytest.raises(ValidationError, match="does not match problem \\(2, 2\\)"):
+                p.check_bounds(*shape)
+        with pytest.raises(ValidationError, match="does not match"):
+            ConditionalProblem(p.p_x, p.p_y_given_x, LinearFeatures(np.zeros((2, 3, 1))),
+                               np.zeros(1))
+
+    def test_digest_covers_both_tables(self):
+        p = counterexample_problem()
+        assert p.digest() == "e4ba35ab5ece8179"
+        flat = ConditionalProblem(p.p_x, np.full((2, 2), 0.5))
+        skewed = ConditionalProblem(np.array([0.25, 0.75]), p.p_y_given_x)
+        assert len({p.digest(), flat.digest(), skewed.digest()}) == 3
+
     def test_json_round_trip(self, tmp_path):
         p = counterexample_problem()
         path = tmp_path / "problem.json"

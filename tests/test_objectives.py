@@ -720,6 +720,15 @@ class TestValueGradFnChecks:
         with pytest.raises(ValidationError, match="needs a"):
             value_grad_fn(problem.scoring, data, noise, objective, 2)
 
+    @pytest.mark.parametrize("objective", ["population-ranking", "population-binary"])
+    @pytest.mark.parametrize("m_x", [1, 4])
+    def test_population_scorer_of_the_wrong_shape(self, objective, m_x):
+        # a 4-context scorer on this 2-context problem used to give a finite, wrong value
+        problem = random_tabular_problem(2, 3, 2, seed=0)
+        sf = LinearFeatures(np.ones((m_x, 3, 2)))
+        with pytest.raises(ValidationError, match="does not match problem \\(2, 3\\)"):
+            value_grad_fn(sf, problem, NoiseDistribution.uniform(3), objective, 2)
+
     def test_unknown_objective(self):
         problem, noise, dataset, _ = small_setup(seed=151)
         with pytest.raises(ValidationError, match="objective must be one of"):

@@ -188,6 +188,22 @@ class TestFitMechanics:
         with pytest.raises(ValidationError):
             fit(p.scoring, ds, noise, FitConfig(objective="population-ranking"))
 
+    @pytest.mark.parametrize("objective", ["population-ranking", "population-binary"])
+    @pytest.mark.parametrize("m_x", [1, 4])
+    def test_population_fit_rejects_a_scorer_of_the_wrong_shape(self, objective, m_x):
+        p = random_tabular_problem(2, 3, 2, seed=0)
+        sf = LinearFeatures(np.ones((m_x, 3, 2)))
+        with pytest.raises(ValidationError, match="does not match problem \\(2, 3\\)"):
+            fit(sf, p, NoiseDistribution.uniform(3), FitConfig(objective=objective, k=2))
+
+    def test_data_digest_names_the_data(self):
+        p = counterexample_problem()
+        noise = NoiseDistribution.uniform(2)
+        report = fit(p.scoring, p, noise, FitConfig(objective="population-ranking", k=1))
+        assert report.data_digest == p.digest()
+        ds = generate_dataset(p, 10, SamplingConfig(k=1, seed=0), noise)
+        assert fit(p.scoring, ds, noise, FitConfig(objective="mle")).data_digest == ds.digest()
+
 
 class TestRestarts:
     @pytest.mark.parametrize("objective", ["ranking", "mle", "binary"])

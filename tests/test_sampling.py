@@ -131,12 +131,13 @@ class TestSyntheticProblem:
 
 
 class TestGenerateDataset:
-    def test_empty_dataset_shape(self):
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_1_is_a_validation_error(self, n):
+        # an empty draw is a Dataset that every fit's bounds check rejects
         p = counterexample_problem()
         nd = NoiseDistribution.uniform(2)
-        ds = generate_dataset(p, 0, SamplingConfig(k=3, seed=0), nd)
-        assert ds.n == 0
-        assert ds.negatives.shape == (0, 3)
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            generate_dataset(p, n, SamplingConfig(k=3, seed=0), nd)
 
     def test_point_mass_rows_determine_labels(self):
         from ncelab import ConditionalProblem
