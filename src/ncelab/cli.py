@@ -98,6 +98,7 @@ def _load_problem(args, manifest: RunManifest) -> ConditionalProblem:
 
 
 def cmd_fit(args, manifest):
+    derive_rng(args.seed)  # a negative seed fails here, also when a loaded dataset draws nothing
     problem = _load_problem(args, manifest)
     if problem.scoring is None:
         raise ValidationError("problem file carries no scoring function to fit")
@@ -105,6 +106,9 @@ def cmd_fit(args, manifest):
     if args.dataset is not None:
         manifest.add_input("dataset", args.dataset)
         dataset = load_dataset_jsonl(args.dataset)
+        drawn, given = dataset.provenance.get("noise"), noise.digest()
+        if "noise" in dataset.provenance and drawn != given:  # a file may not record its noise
+            raise ValidationError(f"dataset drawn under noise {drawn}, but --noise gives {given}")
     else:
         dataset = generate_dataset(
             problem, args.n, SamplingConfig(k=args.K, seed=args.seed), noise
@@ -356,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an estimator on a problem or dataset")
     p.add_argument("--problem", required=True)
-    p.add_argument("--dataset", help="JSONL dataset, whose K replaces --K; generated when omitted")
+    p.add_argument("--dataset", help="JSONL dataset, whose K replaces --K and whose recorded "
+                   "noise must match --noise; generated when omitted")
     p.add_argument("--n", type=int, default=10000, help="sample size when generating")
     p.add_argument("--context-bias", action="store_true",
                    help="add per-context bias parameters to the estimator")

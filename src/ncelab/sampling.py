@@ -25,6 +25,9 @@ from .model import (
 )
 
 
+_SAVE_BLOCK = 1 << 14  # integer entries per block of save_dataset_jsonl
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent Philox stream for (seed, key...); every random stream starts here."""
     if min((seed, *key)) < 0:
@@ -320,18 +323,18 @@ def make_self_normalized_problem(m_x: int, m_y: int, d: int, seed: int) -> Condi
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
-    """One record per example; the header line carries the provenance."""
+    """Header ``json.dumps({"provenance": ...}, sort_keys=True)``, then one line per
+    example, byte-equal to ``json.dumps({"x": x, "y": y, "neg": [n1, ..., nK]})``:
+    a ``%d`` row template formats blocks of rows, as json.dumps prints each int."""
+    row = '{"x": %d, "y": %d, "neg": [' + ", ".join(["%d"] * dataset.k) + "]}\n"
+    rows = max(1, _SAVE_BLOCK // (dataset.k + 2))
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"provenance": dataset.provenance}, sort_keys=True))
         f.write("\n")
-        for i in range(dataset.n):
-            rec = {
-                "x": int(dataset.x[i]),
-                "y": int(dataset.y[i]),
-                "neg": dataset.negatives[i].tolist(),
-            }
-            f.write(json.dumps(rec))
-            f.write("\n")
+        for start in range(0, dataset.n, rows):
+            part = slice(start, start + rows)
+            block = np.column_stack((dataset.x[part], dataset.y[part], dataset.negatives[part]))
+            f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def load_dataset_jsonl(path: str) -> Dataset:

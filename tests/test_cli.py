@@ -20,6 +20,7 @@ from ncelab import (
     binary_asymptotic_cov,
     fit,
     generate_dataset,
+    noise_from_spec,
 )
 from ncelab import asymptotics
 from ncelab.cli import main
@@ -66,12 +67,15 @@ class TestSeedsAndSizes:
     """A negative seed or a synthetic size below 1 exits 2 and writes nothing."""
 
     @pytest.mark.parametrize("command", ["synth", "replicate", "asymptotics",
-                                         "asymptotics-singular-fisher", "asymptotics-exact"])
+                                         "asymptotics-singular-fisher", "asymptotics-exact",
+                                         "fit-dataset"])
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
         problem, soft = tmp_path / "id.json", tmp_path / "soft.json"
         assert run(["synth", "--kind", "features", "--d", 2, "--m-x", 3, "--m-y", 4,
                     "--out", problem]) == 0
         assert run(["synth", "--d", 2, "--m-x", 6, "--m-y", 4, "--out", soft]) == 0
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"provenance": {"k": 2}}\n{"x": 0, "y": 1, "neg": [0, 1]}\n')
         argv = {
             "synth": ["synth", "--d", 2, "--m-x", 3, "--m-y", 4],
             "replicate": ["replicate", "--problem", problem, "--n", 100, "--replications", 2],
@@ -82,6 +86,8 @@ class TestSeedsAndSizes:
                                             "--mode", "mc:100"],
             # exact mode draws nothing, yet a negative seed is still an error
             "asymptotics-exact": ["asymptotics", "--problem", problem, "--K", 2],
+            # a loaded dataset draws nothing, yet a negative seed is still an error
+            "fit-dataset": ["fit", "--problem", soft, "--dataset", data, "--estimator", "mle"],
         }[command]
         out = tmp_path / "out"
         out.mkdir()
@@ -171,6 +177,28 @@ class TestFit:
         assert {r["k"] for r in reports} == {3}
         assert len({r["config_digest"] for r in reports}) == 1
         assert reports[1]["theta"] == reports[0]["theta"] == reports[2]["theta"]
+
+    @pytest.mark.parametrize("estimator", ["mle", "ranking", "binary"])
+    def test_dataset_fit_refuses_another_noise(self, problem_file, tmp_path, capsys, estimator):
+        ds_path = tmp_path / "data.jsonl"
+        common = ["fit", "--problem", problem_file, "--estimator", estimator, "--seed", 7,
+                  "--max-iters", 200]
+        assert run(common + ["--n", 400, "--save-dataset", ds_path,
+                             "--out", tmp_path / "generated.json"]) == 0
+        drawn = json.loads(ds_path.read_text().split("\n")[0])["provenance"]["noise"]
+        problem = ConditionalProblem.load(problem_file)
+        other = noise_from_spec("unigram-pow:3", problem.p_y).digest()
+        assert drawn == NoiseDistribution.uniform(problem.m_y).digest() != other
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run(common + ["--dataset", ds_path, "--noise", "unigram-pow:3",
+                             "--out", out / "other.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and drawn in err and other in err
+        assert list(out.iterdir()) == []
+        assert run(common + ["--dataset", ds_path, "--noise", "uniform",
+                             "--out", out / "same.json"]) == 0
 
     def test_reg_alpha_matches_the_library_fit(self, problem_file, tmp_path):
         out = tmp_path / "fit.json"

@@ -1,5 +1,8 @@
 """Noise distributions, negative sampling, and synthetic generators."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +20,10 @@ from ncelab import (
     make_self_normalized_problem,
     make_synthetic_problem,
     noise_from_spec,
+    random_tabular_problem,
     sample_negatives,
 )
+from ncelab import sampling
 from ncelab.sampling import load_dataset_jsonl, noise_power, save_dataset_jsonl
 
 
@@ -215,14 +220,50 @@ class TestCounterexampleProblem:
         assert ratio == pytest.approx(1 / 3, rel=1e-12)
 
 
+def _saved_case(case):
+    """(problem, n, K) of one writer case; labels of three digits need m_y > 100."""
+    block_rows = sampling._SAVE_BLOCK // (3 + 2)
+    return {
+        "k3": (counterexample_problem(), 50, 3),
+        "k1": (counterexample_problem(), 40, 1),
+        "k100": (counterexample_problem(), 30, 100),
+        "one-row-past-a-block": (counterexample_problem(), block_rows + 1, 3),
+        "three-digit-labels": (random_tabular_problem(3, 120, 2, 5), 400, 4),
+    }[case]
+
+
 class TestSerialization:
-    def test_jsonl_round_trip(self, tmp_path):
-        p = counterexample_problem()
-        nd = NoiseDistribution.uniform(2)
-        ds = generate_dataset(p, 50, SamplingConfig(k=3, seed=9), nd)
+    @pytest.mark.parametrize(
+        "case", ["k3", "k1", "k100", "one-row-past-a-block", "three-digit-labels"]
+    )
+    def test_jsonl_round_trip(self, tmp_path, case):
+        p, n, k = _saved_case(case)
+        nd = NoiseDistribution.uniform(p.m_y)
+        ds = generate_dataset(p, n, SamplingConfig(k=k, seed=9), nd)
         path = tmp_path / "data.jsonl"
         save_dataset_jsonl(ds, str(path))
+        # the bytes of one json.dumps per record, which the blocked writer must keep
+        lines = [json.dumps({"provenance": ds.provenance}, sort_keys=True)] + [
+            json.dumps({"x": int(x), "y": int(y), "neg": neg.tolist()})
+            for x, y, neg in zip(ds.x, ds.y, ds.negatives)
+        ]
+        # lists, not one string: pytest reports the first differing line quickly
+        assert path.read_text(encoding="utf-8").split("\n") == lines + [""]
         loaded = load_dataset_jsonl(str(path))
         np.testing.assert_array_equal(loaded.x, ds.x)
+        np.testing.assert_array_equal(loaded.y, ds.y)
         np.testing.assert_array_equal(loaded.negatives, ds.negatives)
         assert loaded.provenance == ds.provenance
+        assert loaded.digest() == ds.digest()
+
+    def test_save_never_holds_the_whole_file(self, tmp_path):
+        p = make_synthetic_problem(2, 50, 20, 1)
+        ds = generate_dataset(p, 20_000, SamplingConfig(k=4, seed=3), NoiseDistribution.uniform(20))
+        path = tmp_path / "data.jsonl"
+        tracemalloc.start()
+        try:
+            save_dataset_jsonl(ds, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
