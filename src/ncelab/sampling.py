@@ -327,12 +327,12 @@ def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
     example, byte-equal to ``json.dumps({"x": x, "y": y, "neg": [n1, ..., nK]})``:
     a ``%d`` row template formats blocks of rows, as json.dumps prints each int."""
     row = '{"x": %d, "y": %d, "neg": [' + ", ".join(["%d"] * dataset.k) + "]}\n"
-    rows = max(1, _SAVE_BLOCK // (dataset.k + 2))
+    per_block = max(1, _SAVE_BLOCK // (dataset.k + 2))
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"provenance": dataset.provenance}, sort_keys=True))
         f.write("\n")
-        for start in range(0, dataset.n, rows):
-            part = slice(start, start + rows)
+        for start in range(0, dataset.n, per_block):
+            part = slice(start, start + per_block)
             block = np.column_stack((dataset.x[part], dataset.y[part], dataset.negatives[part]))
             f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 

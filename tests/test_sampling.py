@@ -220,24 +220,19 @@ class TestCounterexampleProblem:
         assert ratio == pytest.approx(1 / 3, rel=1e-12)
 
 
-def _saved_case(case):
-    """(problem, n, K) of one writer case; labels of three digits need m_y > 100."""
-    block_rows = sampling._SAVE_BLOCK // (3 + 2)
-    return {
-        "k3": (counterexample_problem(), 50, 3),
-        "k1": (counterexample_problem(), 40, 1),
-        "k100": (counterexample_problem(), 30, 100),
-        "one-row-past-a-block": (counterexample_problem(), block_rows + 1, 3),
-        "three-digit-labels": (random_tabular_problem(3, 120, 2, 5), 400, 4),
-    }[case]
-
-
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "case", ["k3", "k1", "k100", "one-row-past-a-block", "three-digit-labels"]
-    )
-    def test_jsonl_round_trip(self, tmp_path, case):
-        p, n, k = _saved_case(case)
+    @pytest.mark.parametrize("make_problem, n, k", [
+        pytest.param(counterexample_problem, 50, 3, id="k3"),
+        pytest.param(counterexample_problem, 40, 1, id="k1"),
+        pytest.param(counterexample_problem, 30, 100, id="k100"),
+        # a block holds _SAVE_BLOCK // (K + 2) rows
+        pytest.param(counterexample_problem, sampling._SAVE_BLOCK // (3 + 2) + 1, 3,
+                     id="one-row-past-a-block"),
+        pytest.param(lambda: random_tabular_problem(3, 120, 2, 5), 400, 4,
+                     id="three-digit-labels"),
+    ])
+    def test_jsonl_round_trip(self, tmp_path, make_problem, n, k):
+        p = make_problem()
         nd = NoiseDistribution.uniform(p.m_y)
         ds = generate_dataset(p, n, SamplingConfig(k=k, seed=9), nd)
         path = tmp_path / "data.jsonl"
