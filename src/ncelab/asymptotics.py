@@ -105,6 +105,7 @@ class ReplicationSummary:
     converged: int  # fits that reached |g| <= tol
     max_iters_reached: int  # fits stopped at max_iters instead
     max_grad_norm: float  # largest final |g| over the R fits
+    workers: int  # processes the fits ran on; not in the JSON, which is the same at any count
 
     def to_json_dict(self) -> dict:
         return {
@@ -357,6 +358,24 @@ def asymptotic_cov(
     raise ValidationError(f"no asymptotic covariance for estimator '{estimator}'")
 
 
+def _fit_replications(problem, fit_cfg, noise, k, n, block):
+    """Fit one dataset per (r, seed) of ``block``: sqrt(n)(theta_hat - theta*), |g|, converged."""
+    # MLE ignores negatives but the dataset still carries a matrix of them
+    data_noise = noise if noise is not None else NoiseDistribution.uniform(problem.m_y)
+    rows = []
+    for r, seed in block:
+        dataset = generate_dataset(problem, n, SamplingConfig(k=k, seed=seed), data_noise)
+        try:
+            report = fit(problem.scoring, dataset, noise, fit_cfg)
+        except NceLabError as exc:  # the same class, so the CLI keeps its exit code
+            raise type(exc)(f"replication {r} failed: {exc}") from exc
+        if report.stalled:
+            raise ValidationError(f"replication {r} stalled: {report.message}")
+        dev = np.sqrt(n) * (report.theta - problem.theta_star)
+        rows.append((dev, report.grad_norm, report.converged))
+    return rows
+
+
 def replicate(
     problem: ConditionalProblem,
     fit_cfg: FitConfig,
@@ -370,33 +389,32 @@ def replicate(
     sqrt(n)(theta_hat - theta*) against ``asymptotic_cov``.
 
     ``seeds`` is the master seed; the per-replication seeds derive from it.
+    The fits run in contiguous blocks, one per CPU this process may use, and come back in
+    order: the summary is the same at any count, and the lowest failing replication is named.
     """
+    import os
+    from functools import partial
+
     if replications < 2:
         raise ValidationError(f"replications must be >= 2, got {replications}")
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if n == 0:
-        raise ValidationError("n must be >= 1 to fit a replication")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     # derived before the covariance, so a negative seed is a ValidationError either way
-    rep_seeds = [int(derive_rng(seeds, 8, r).integers(2**63)) for r in range(replications)]
+    pairs = [(r, int(derive_rng(seeds, 8, r).integers(2**63))) for r in range(replications)]
     theoretical = asymptotic_cov(problem, fit_cfg.objective, noise, k).inverse
-    sf, theta_star = problem.scoring, problem.theta_star
-    # MLE ignores negatives but the dataset still carries a matrix of them
-    data_noise = noise if noise is not None else NoiseDistribution.uniform(problem.m_y)
-    devs = np.empty((replications, sf.n_params))
-    grad_norms = np.empty(replications)
-    converged = 0
-    for r, seed in enumerate(rep_seeds):
-        dataset = generate_dataset(problem, n, SamplingConfig(k=k, seed=seed), data_noise)
-        try:
-            report = fit(sf, dataset, noise, fit_cfg)
-        except NceLabError as exc:  # the same class, so the CLI keeps its exit code
-            raise type(exc)(f"replication {r} failed: {exc}") from exc
-        if report.stalled:
-            raise ValidationError(f"replication {r} stalled: {report.message}")
-        devs[r] = np.sqrt(n) * (report.theta - theta_star)
-        grad_norms[r] = report.grad_norm
-        converged += report.converged
+    workers = min(len(os.sched_getaffinity(0)), replications)
+    cuts = [w * replications // workers for w in range(workers + 1)]
+    blocks = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+    fit_block = partial(_fit_replications, problem, fit_cfg, noise, k, n)
+    if workers == 1:
+        results = [fit_block(blocks[0])]
+    else:
+        import multiprocessing  # not at module level: it slows every command's start-up
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            # fork: workers inherit the loaded modules instead of importing numpy again
+            results = list(pool.imap(fit_block, blocks))  # in order: the lowest failure raises
+    devs, grad_norms, fits_converged = zip(*(row for rows in results for row in rows))
+    devs, converged = np.array(devs), sum(fits_converged)
     mean_bias = devs.mean(axis=0)
     centered = devs - mean_bias
     empirical = centered.T @ centered / (replications - 1)
@@ -413,8 +431,9 @@ def replicate(
         theoretical=theoretical,
         rel_frobenius_error=rel,
         empirical_mse=float(np.mean(devs**2)),
-        theoretical_mse=float(np.trace(theoretical)) / sf.n_params,
+        theoretical_mse=float(np.trace(theoretical)) / problem.scoring.n_params,
         converged=converged,
         max_iters_reached=replications - converged,
-        max_grad_norm=float(grad_norms.max()),
+        max_grad_norm=float(np.max(grad_norms)),
+        workers=workers,
     )

@@ -274,7 +274,7 @@ def cmd_replicate(args, manifest):
         f"{summary.rel_frobenius_error:.4f}, empirical mse {summary.empirical_mse:.4f} "
         f"vs theoretical {summary.theoretical_mse:.4f}; converged "
         f"{summary.converged}/{args.replications} ({summary.max_iters_reached} at "
-        f"max-iters), max |g| {summary.max_grad_norm:.3e}"
+        f"max-iters), max |g| {summary.max_grad_norm:.3e}, on {summary.workers} workers"
     ]
 
 

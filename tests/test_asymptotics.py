@@ -1,7 +1,10 @@
 """Fisher information and NCE asymptotic covariances against oracles."""
 
+import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -14,10 +17,15 @@ from ncelab import (
     FitConfig,
     LinearFeatures,
     NoiseDistribution,
+    NumericError,
+    SamplingConfig,
     ValidationError,
     asymptotic_cov,
     binary_asymptotic_cov,
+    derive_rng,
     fisher_information,
+    fit,
+    generate_dataset,
     make_self_normalized_problem,
     population_binary_objective,
     problem_from_scores,
@@ -493,6 +501,77 @@ class TestReplicate:
             for _ in range(2)
         ]
         assert summaries[0] == summaries[1]
+
+    @staticmethod
+    def _loop_summary(problem, cfg, noise, k, n, replications, seeds):
+        """The JSON summary of a plain loop: one seed, dataset and fit per replication."""
+        devs, norms, converged = [], [], 0
+        for r in range(replications):
+            seed = int(derive_rng(seeds, 8, r).integers(2**63))
+            report = fit(problem.scoring, generate_dataset(
+                problem, n, SamplingConfig(k=k, seed=seed), noise), noise, cfg)
+            devs.append(np.sqrt(n) * (report.theta - problem.theta_star))
+            norms.append(report.grad_norm)
+            converged += report.converged
+        devs = np.array(devs)
+        theoretical = asymptotic_cov(problem, cfg.objective, noise, k).inverse
+        mean_bias = devs.mean(axis=0)
+        centered = devs - mean_bias
+        empirical = centered.T @ centered / (replications - 1)
+        return {
+            "estimator": cfg.objective, "k": k, "n": n, "replications": replications,
+            "empirical_cov": empirical.tolist(), "mean_bias": mean_bias.tolist(),
+            "theoretical": theoretical.tolist(),
+            "rel_frobenius_error": float(np.linalg.norm(empirical - theoretical)
+                                         / np.linalg.norm(theoretical)),
+            "empirical_mse": float(np.mean(devs**2)),
+            "theoretical_mse": float(np.trace(theoretical)) / problem.scoring.n_params,
+            "converged": converged, "max_iters_reached": replications - converged,
+            "max_grad_norm": float(np.max(norms)),
+        }
+
+    @pytest.mark.parametrize("objective", ["mle", "ranking"])
+    def test_worker_count_changes_no_byte(self, monkeypatch, objective):
+        prob = random_tabular_problem(3, 4, 2, seed=23)
+        noise = NoiseDistribution.uniform(4)
+        cfg = FitConfig(objective=objective, tol=1e-7)
+        # R = 7 splits unevenly over 2 and 3 workers
+        want = self._loop_summary(prob, cfg, noise, k=4, n=300, replications=7, seeds=5)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            summary = replicate(prob, cfg, noise, k=4, n=300, replications=7, seeds=5)
+            assert summary.workers == cpus
+            assert summary.to_json_dict() == want
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [(4,), (4, 2)], ids=["one", "two-blocks"])
+    def test_the_lowest_failing_replication_is_named(self, monkeypatch, failing):
+        prob = random_tabular_problem(3, 4, 2, seed=23)
+        noise = NoiseDistribution.uniform(4)
+        seeds = {int(derive_rng(5, 8, r).integers(2**63)): r for r in range(7)}
+        real_fit = asymptotics.fit
+
+        def numeric_error(sf, dataset, *args):
+            if seeds[dataset.provenance["seed"]] in failing:
+                raise NumericError("objective non-finite")
+            return real_fit(sf, dataset, *args)
+
+        def stalls(sf, dataset, *args):
+            report = real_fit(sf, dataset, *args)
+            if seeds[dataset.provenance["seed"]] in failing:
+                return dataclasses.replace(report, stalled=True, message="line search stalled")
+            return report
+
+        # three workers over R = 7: blocks {0, 1}, {2, 3}, {4, 5, 6}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for patched, error, what in ((numeric_error, NumericError, "failed"),
+                                     (stalls, ValidationError, "stalled")):
+            monkeypatch.setattr(asymptotics, "fit", patched)
+            with pytest.raises(error, match=f"^replication {min(failing)} {what}: ") as info:
+                replicate(prob, FitConfig(objective="mle"), noise, k=1, n=200,
+                          replications=7, seeds=5)
+            assert type(info.value) is error
+            assert multiprocessing.active_children() == []
 
     def test_mle_replication_smoke(self):
         prob = random_tabular_problem(3, 4, 2, seed=23)

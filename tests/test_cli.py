@@ -412,7 +412,9 @@ class TestReplicate:
         assert 0.0 < summary["max_grad_norm"] <= 1e-7
         printed = capsys.readouterr().out
         assert "converged 12/12 (0 at max-iters)" in printed
-        assert f"max |g| {summary['max_grad_norm']:.3e}" in printed
+        workers = min(len(os.sched_getaffinity(0)), 12)
+        assert f"max |g| {summary['max_grad_norm']:.3e}, on {workers} workers\n" in printed
+        assert "workers" not in summary  # the file is the same at any worker count
 
     def test_summary_counts_fits_stopped_at_max_iters(self, tmp_path):
         path = tmp_path / "id.json"
@@ -497,23 +499,28 @@ class TestThreadCount:
             assert run(["synth", *synth, "--out", problem]) == 0
             args = [*args, "--problem", str(problem), "--seed", "7"]
         src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = [("1", None), ("2", None)]
+        if args[0] == "replicate":  # and on one CPU, which fits every replication in-process
+            runs.append(("1", lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})))
         results = []
-        for threads in ("1", "2"):
-            # the manifest digest covers the output path, so both runs write
+        for i, (threads, pin) in enumerate(runs):
+            # the manifest digest covers the output path, so every run writes
             # the same relative name, each in its own directory
-            workdir = tmp_path / f"threads{threads}"
+            workdir = tmp_path / f"run{i}"
             workdir.mkdir()
             env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
                    "MKL_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-m", "ncelab.cli", *args, "--out", "result.json"],
-                cwd=workdir, env=env, check=True, capture_output=True,
+                cwd=workdir, env=env, check=True, capture_output=True, text=True, preexec_fn=pin,
             )
+            if pin is not None:
+                assert proc.stdout.rstrip().endswith(", on 1 workers")
             results.append({path.name: path.read_bytes() for path in sorted(workdir.iterdir())
                             if not path.name.endswith(".manifest.json")})
         assert "result.json" in results[0]
-        assert results[0] == results[1]
+        assert all(result == results[0] for result in results[1:])
 
 
 class TestLm:
@@ -647,9 +654,10 @@ class TestMalformedInput:
 
     def test_replicate_checks_n_before_the_covariance(self, problem_file, tmp_path, capsys):
         argv = MALFORMED_INPUTS["replicate-softmax-negative-n"](tmp_path)
-        capsys.readouterr()
-        assert run(argv + ["--out", tmp_path / "out.json"]) == 2
-        assert "n must be >= 0" in capsys.readouterr().err
+        for n in (-1, 0):  # one check, with generate_dataset's message
+            capsys.readouterr()
+            assert run(argv[:-1] + [n, "--out", tmp_path / "out.json"]) == 2
+            assert f"n must be >= 1, got {n}" in capsys.readouterr().err
 
     def test_fit_and_lm_share_the_noise_power_message(self, problem_file, tmp_path, capsys):
         errors = []
