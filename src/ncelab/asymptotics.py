@@ -105,7 +105,7 @@ class ReplicationSummary:
     converged: int  # fits that reached |g| <= tol
     max_iters_reached: int  # fits stopped at max_iters instead
     max_grad_norm: float  # largest final |g| over the R fits
-    workers: int  # processes the fits ran on; not in the JSON, which is the same at any count
+    workers: int  # fits run in parallel; not in the JSON, which is the same at any count
 
     def to_json_dict(self) -> dict:
         return {
@@ -410,9 +410,10 @@ def replicate(
         results = [fit_block(blocks[0])]
     else:
         import multiprocessing  # not at module level: it slows every command's start-up
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            # fork: workers inherit the loaded modules instead of importing numpy again
-            results = list(pool.imap(fit_block, blocks))  # in order: the lowest failure raises
+        from concurrent.futures import ProcessPoolExecutor  # raises if a worker dies; Pool hangs
+        # fork: workers inherit the loaded modules instead of importing numpy again
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(fit_block, blocks))  # in order: the lowest failure raises
     devs, grad_norms, fits_converged = zip(*(row for rows in results for row in rows))
     devs, converged = np.array(devs), sum(fits_converged)
     mean_bias = devs.mean(axis=0)

@@ -5,6 +5,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -572,6 +574,30 @@ class TestReplicate:
                           replications=7, seeds=5)
             assert type(info.value) is error
             assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
+        parent, real_fit = os.getpid(), asymptotics.fit
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)  # as when the kernel kills a worker
+            return real_fit(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("replicate still waiting for a dead worker")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(asymptotics, "fit", dies_in_a_worker)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                replicate(random_tabular_problem(3, 4, 2, seed=23), FitConfig(objective="mle"),
+                          NoiseDistribution.uniform(4), k=1, n=200, replications=7, seeds=5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_mle_replication_smoke(self):
         prob = random_tabular_problem(3, 4, 2, seed=23)
