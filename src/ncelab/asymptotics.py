@@ -188,7 +188,7 @@ def ranking_asymptotic_cov(
     m_x * m_y (context, positive) pairs, and attaches the batch-means
     standard errors of the information.
     """
-    _check_k(k)
+    check_cov_request("ranking", k, mode, num_samples)
     theta_star = check_params(theta_star, sf.n_params)
     shat = _shifted_table(sf, theta_star, noise)
     grads = sf.grad_table(theta_star)
@@ -210,11 +210,7 @@ def ranking_asymptotic_cov(
                 "does not collapse"
             )
         stderr = None
-    elif mode == "mc":
-        if num_samples is None or num_samples < MC_BATCHES * 2:
-            raise ValidationError(
-                f"monte-carlo mode needs num_samples >= {MC_BATCHES * 2}"
-            )
+    else:
         rng = derive_rng(seed, 7)
         sizes = np.diff(np.arange(MC_BATCHES + 1) * int(num_samples) // MC_BATCHES)
         batch_means = np.array([
@@ -224,8 +220,6 @@ def ranking_asymptotic_cov(
         w_mix = batch_means.mean(axis=0)
         stderr = batch_means.std(axis=0, ddof=1) / np.sqrt(MC_BATCHES)
         information = _symmetrize(term1 - w_mix, tol=np.inf, what="ranking information")
-    else:
-        raise ValidationError(f"unknown mode '{mode}' (expected 'exact' or 'mc')")
 
     inverse = invert_spd(information, "ranking information")
     report = CovarianceReport(
@@ -320,6 +314,19 @@ def binary_asymptotic_cov(
     return report
 
 
+def check_cov_request(estimator: str, k: int, mode: str, num_samples: int | None) -> None:
+    """Refuse a K, mode or Monte Carlo sample count that no covariance accepts."""
+    _check_k(k)
+    if estimator in ("mle", "binary") and mode != "exact":
+        raise ValidationError(
+            f"{estimator} covariance is exact only; mode '{mode}' is for ranking"
+        )
+    if mode not in ("exact", "mc"):
+        raise ValidationError(f"unknown mode '{mode}' (expected 'exact' or 'mc')")
+    if mode == "mc" and (num_samples is None or num_samples < MC_BATCHES * 2):
+        raise ValidationError(f"monte-carlo mode needs num_samples >= {MC_BATCHES * 2}")
+
+
 def asymptotic_cov(
     problem: ConditionalProblem,
     estimator: str,
@@ -337,13 +344,9 @@ def asymptotic_cov(
     be >= 1 for every estimator, and only "ranking" has a mode other than
     "exact".
     """
-    _check_k(k)
+    check_cov_request(estimator, k, mode, num_samples)
     if problem.theta_star is None:
         raise ValidationError("asymptotic covariance needs a problem with theta_star")
-    if estimator in ("mle", "binary") and mode != "exact":
-        raise ValidationError(
-            f"{estimator} covariance is exact only; mode '{mode}' is for ranking"
-        )
     sf, theta_star = problem.scoring, problem.theta_star
     if estimator == "mle":
         information = fisher_information(problem, sf, theta_star)
@@ -356,6 +359,25 @@ def asymptotic_cov(
             raise ValidationError("binary covariance needs gamma_star (a self-normalized truth)")
         return binary_asymptotic_cov(problem, sf, theta_star, problem.gamma_star, noise, k)
     raise ValidationError(f"no asymptotic covariance for estimator '{estimator}'")
+
+
+def map_on_cpus(fn, items: list) -> tuple[list, int]:
+    """([fn(item) for item in items], W) on W = min(CPUs this process may use, len(items))
+    forked workers; one worker calls fn in-process and forks nothing.
+
+    Results come back in order, so the lowest failing item raises, with its own class, and
+    a worker that dies raises BrokenProcessPool.
+    """
+    import os
+
+    workers = min(len(os.sched_getaffinity(0)), len(items))
+    if workers == 1:
+        return [fn(item) for item in items], workers
+    import multiprocessing  # not at module level: it slows every command's start-up
+    from concurrent.futures import ProcessPoolExecutor  # raises if a worker dies; Pool hangs
+    # fork: workers inherit the loaded modules instead of importing numpy again
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items)), workers
 
 
 def _fit_replications(problem, fit_cfg, noise, k, n, block):
@@ -405,15 +427,7 @@ def replicate(
     workers = min(len(os.sched_getaffinity(0)), replications)
     cuts = [w * replications // workers for w in range(workers + 1)]
     blocks = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
-    fit_block = partial(_fit_replications, problem, fit_cfg, noise, k, n)
-    if workers == 1:
-        results = [fit_block(blocks[0])]
-    else:
-        import multiprocessing  # not at module level: it slows every command's start-up
-        from concurrent.futures import ProcessPoolExecutor  # raises if a worker dies; Pool hangs
-        # fork: workers inherit the loaded modules instead of importing numpy again
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(fit_block, blocks))  # in order: the lowest failure raises
+    results, _ = map_on_cpus(partial(_fit_replications, problem, fit_cfg, noise, k, n), blocks)
     devs, grad_norms, fits_converged = zip(*(row for rows in results for row in rows))
     devs, converged = np.array(devs), sum(fits_converged)
     mean_bias = devs.mean(axis=0)

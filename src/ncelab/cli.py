@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .asymptotics import COLLAPSE_TOL, asymptotic_cov, replicate
+from .asymptotics import COLLAPSE_TOL, asymptotic_cov, check_cov_request, map_on_cpus, replicate
 from .errors import BudgetError, NumericError, ValidationError
 from .evaluation import d_metric, evaluate
 from .lm import LmConfig, run_lm_experiment
@@ -221,15 +221,22 @@ def cmd_counterexample(args, manifest):
 
 
 def cmd_asymptotics(args, manifest):
+    from functools import partial
+
     derive_rng(args.seed)  # a negative seed fails here, before any covariance, in exact mode too
     problem = _load_problem(args, manifest)
     noise = noise_from_spec(args.noise, problem.p_y)
     ks = _parse_k_list(args.K)
     mode, num_samples = _parse_mode(args.mode)
+    for k in ks:  # before the Fisher covariance, which a singular problem fails with exit 3
+        check_cov_request(args.estimator, k, mode, num_samples)
     fisher = asymptotic_cov(problem, "mle", noise, 1)
+    cov = partial(asymptotic_cov, problem, args.estimator, noise,
+                  mode=mode, num_samples=num_samples, seed=args.seed)
+    # one K per worker in Monte Carlo mode; an exact row costs less than starting a pool
+    reports, workers = map_on_cpus(cov, ks) if mode == "mc" else ([cov(k) for k in ks], None)
     rows, collapse_gaps = [], []
-    for k in ks:
-        report = asymptotic_cov(problem, args.estimator, noise, k, mode, num_samples, args.seed)
+    for k, report in zip(ks, reports):
         if report.collapse_gap is not None:
             collapse_gaps.append(report.collapse_gap)
         stderr = report.information_stderr
@@ -250,7 +257,8 @@ def cmd_asymptotics(args, manifest):
         rows,
         manifest.digest(),
     )
-    lines = [f"wrote {len(rows)} rate rows to {args.out}"]
+    lines = [f"wrote {len(rows)} rate rows to {args.out}"
+             + ("" if workers is None else f", on {workers} workers")]
     if collapse_gaps:
         lines.append(
             f"largest sandwich-collapse gap {max(collapse_gaps):.1e} (tol {COLLAPSE_TOL:g})"

@@ -570,7 +570,8 @@ def sample_count_vectors(rng: np.random.Generator, noise: NoiseDistribution, k: 
         counts = rng.multinomial(k, noise.probs, size=min(rows, size - start))
         # keys in the narrowest dtype that holds K: numpy radix-sorts 8- and 16-bit keys
         counts = counts[np.lexsort(counts.astype(np.min_scalar_type(k)).T[::-1])]
-        first = np.flatnonzero(np.r_[True, (counts[1:] != counts[:-1]).any(axis=1)])
+        by_label = counts.T.copy()  # contiguous rows of M: compare and reduce along them
+        first = np.flatnonzero(np.r_[True, (by_label[:, 1:] != by_label[:, :-1]).any(axis=0)])
         repeats = np.diff(np.r_[first, len(counts)])
         yield counts[first], np.log(repeats) - math.log(size)
 
@@ -595,16 +596,17 @@ def ranking_count_terms(problem: ConditionalProblem, shat: np.ndarray, blocks):
     """
     for counts, log_weight in blocks:
         noise_mass = np.exp(log_weight)
-        present = counts > 0
+        present = (counts > 0).T.copy()  # contiguous (m_y, M): b is a max along the long axis
+        total = np.empty(len(counts))
         for x in range(problem.m_x):
             a = shat[x]
-            b = np.where(present, a[None, :], -np.inf).max(axis=1)
+            b = np.where(present, a[:, None], -np.inf).max(axis=0)
             # labels absent from c may score above b; clip so 0 * exp stays 0
             mass = counts * np.exp(np.minimum(a[None, :] - b[:, None], 0.0))
             top = np.maximum(a[:, None], b[None, :])
             pos = np.exp(a[:, None] - top)
             neg = np.exp(b[None, :] - top)
-            denom = pos + neg * mass.sum(axis=1)[None, :]
+            denom = pos + neg * _row_sum(mass, total)[None, :]
             log_q = a[:, None] - top - np.log(denom)
             w = problem.p_x[x] * problem.p_y_given_x[x][:, None] * noise_mass[None, :]
             yield x, w, log_q, pos / denom, neg / denom, mass

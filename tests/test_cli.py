@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files, manifests, reproducibility, exit codes."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from ncelab import (
     NumericError,
     RegularizerConfig,
     SamplingConfig,
+    SingularMatrixError,
     binary_asymptotic_cov,
     fit,
     generate_dataset,
@@ -387,6 +389,41 @@ class TestAsymptotics:
         )
         assert not out.exists()
 
+    def test_monte_carlo_rows_are_the_same_bytes_on_any_worker_count(
+            self, self_normalized_file, tmp_path, capsys, monkeypatch):
+        out, results = tmp_path / "mc.csv", []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            capsys.readouterr()
+            assert run([
+                "asymptotics", "--problem", self_normalized_file, "--mode", "mc:2000",
+                "--K", "8,16,32", "--seed", 5, "--out", out,
+            ]) == 0
+            assert capsys.readouterr().out == f"wrote 3 rate rows to {out}, on {cpus} workers\n"
+            results.append(out.read_bytes())
+            assert multiprocessing.active_children() == []
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_the_lowest_failing_k_is_raised(self, self_normalized_file, tmp_path, capsys,
+                                            monkeypatch):
+        real = asymptotics.ranking_asymptotic_cov
+
+        def singular_at_16_and_32(problem, sf, theta_star, noise, k, *args):
+            if k in (16, 32):
+                raise SingularMatrixError(f"singular at K={k}")
+            return real(problem, sf, theta_star, noise, k, *args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(asymptotics, "ranking_asymptotic_cov", singular_at_16_and_32)
+        out = tmp_path / "mc.csv"
+        assert run([
+            "asymptotics", "--problem", self_normalized_file, "--mode", "mc:2000",
+            "--K", "8,16,32", "--out", out,
+        ]) == 3
+        assert capsys.readouterr().err == "numeric error: singular at K=16\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_gauge_degenerate_problem_exits_3(self, problem_file, tmp_path):
         # per-label linear models carry a softmax gauge: fisher is singular
         assert run([
@@ -500,7 +537,7 @@ class TestThreadCount:
             args = [*args, "--problem", str(problem), "--seed", "7"]
         src = str(Path(__file__).resolve().parents[1] / "src")
         runs = [("1", None), ("2", None)]
-        if args[0] == "replicate":  # and on one CPU, which fits every replication in-process
+        if args[0] == "replicate" or "--mode" in args:  # and on one CPU, which forks nothing
             runs.append(("1", lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})))
         results = []
         for i, (threads, pin) in enumerate(runs):
@@ -637,6 +674,17 @@ MALFORMED_INPUTS = {
         "fit", "--problem", tmp / "problem.json", "--noise", "unigram-pow:-1",
     ],
     "lm-negative-noise-power": lambda tmp: ["lm", "--noise", "unigram-pow:-1"],
+    # a softmax problem's Fisher information is singular (exit 3) if it is built first
+    "asymptotics-softmax-binary-mc": lambda tmp: [
+        "asymptotics", "--problem", tmp / "problem.json", "--estimator", "binary",
+        "--mode", "mc:100",
+    ],
+    "asymptotics-softmax-few-samples": lambda tmp: [
+        "asymptotics", "--problem", tmp / "problem.json", "--mode", "mc:10",
+    ],
+    "asymptotics-softmax-k-0": lambda tmp: [
+        "asymptotics", "--problem", tmp / "problem.json", "--K", 0,
+    ],
     # the bounds check runs before the regularizer's workspace is built
     "fit-dataset-x-out-of-range-reg": lambda tmp: _dataset_file(
         tmp, [{"x": 6, "y": 1, "neg": [0, 1]}]

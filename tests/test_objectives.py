@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,17 +37,21 @@ from ncelab import (
     ranking_objective,
     regularizer,
 )
-from ncelab import objectives
+from ncelab import asymptotics, objectives
+from ncelab.asymptotics import _ranking_factors
 from ncelab.model import log_softmax_rows
 from ncelab.objectives import (
     _binary_terms,
     _row_sum,
+    _shifted_table,
     _workspaces,
     count_table,
     count_vectors,
     fold_candidates,
     fold_draws,
+    ranking_count_terms,
     ranking_keys,
+    sample_count_vectors,
     value_grad_fn,
 )
 
@@ -1270,3 +1275,77 @@ class TestCountVectors:
         got = value_grad_fn(sf, problem, noise, "population-ranking", k)(theta)
         assert np.isfinite(got[0]) and np.all(np.isfinite(got[1]))
         assert_matches(got, ref_population_ranking(sf, theta, problem, noise, k))
+
+
+def ref_sample_count_vectors(rng, noise, k, size):
+    """``sample_count_vectors`` with the repeats found along each draw's row of m_y counts."""
+    rows = max(1, objectives._COUNT_BLOCK // noise.size)
+    for start in range(0, size, rows):
+        counts = rng.multinomial(k, noise.probs, size=min(rows, size - start))
+        counts = counts[np.lexsort(counts.astype(np.min_scalar_type(k)).T[::-1])]
+        first = np.flatnonzero(np.r_[True, (counts[1:] != counts[:-1]).any(axis=1)])
+        repeats = np.diff(np.r_[first, len(counts)])
+        yield counts[first], np.log(repeats) - math.log(size)
+
+
+def ref_ranking_count_terms(problem, shat, blocks):
+    """``ranking_count_terms`` with b a max along each count vector's row, and numpy's row sum."""
+    for counts, log_weight in blocks:
+        noise_mass = np.exp(log_weight)
+        present = counts > 0
+        for x in range(problem.m_x):
+            a = shat[x]
+            b = np.where(present, a[None, :], -np.inf).max(axis=1)
+            mass = counts * np.exp(np.minimum(a[None, :] - b[:, None], 0.0))
+            top = np.maximum(a[:, None], b[None, :])
+            pos = np.exp(a[:, None] - top)
+            neg = np.exp(b[None, :] - top)
+            denom = pos + neg * mass.sum(axis=1)[None, :]
+            log_q = a[:, None] - top - np.log(denom)
+            w = problem.p_x[x] * problem.p_y_given_x[x][:, None] * noise_mass[None, :]
+            yield x, w, log_q, pos / denom, neg / denom, mass
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class TestCountTermsKernel:
+    """The count-vector kernel, which reduces along the long axis of each
+    block, against the row-wise form it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12), st.integers(1, 6), st.booleans(), st.sampled_from([1.0, 30.0]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_terms_and_factors_match_the_row_form_bit_for_bit(self, m_y, k, sampled, scale,
+                                                              seed):
+        # m_y 2-12 runs both sides of _row_sum's switch to numpy's sum at 8 columns;
+        # scale 30 puts labels absent from a count vector far above its largest score
+        problem = random_tabular_problem(2, m_y, 3, seed)
+        rng = np.random.default_rng(seed)
+        raw = rng.random(m_y) + 0.05
+        noise = NoiseDistribution(raw / raw.sum())
+        theta = scale * rng.standard_normal(3)
+        shat = _shifted_table(problem.scoring, theta, noise)
+        grads = problem.scoring.grad_table(theta)
+        if sampled:
+            blocks = list(sample_count_vectors(np.random.default_rng(seed), noise, k, 3000))
+            ref_blocks = list(ref_sample_count_vectors(np.random.default_rng(seed), noise, k, 3000))
+            assert len(blocks) == len(ref_blocks)
+            for got, want in zip(blocks, ref_blocks):
+                assert_same_bits(got, want)
+        else:
+            blocks = list(count_vectors(noise.log_probs, k))
+        got = list(ranking_count_terms(problem, shat, blocks))
+        want = list(ref_ranking_count_terms(problem, shat, blocks))
+        assert len(got) == len(want) == problem.m_x * len(blocks)
+        for terms, ref_terms in zip(got, want):
+            assert_same_bits(terms, ref_terms)
+        with mock.patch.object(asymptotics, "ranking_count_terms", ref_ranking_count_terms):
+            want = _ranking_factors(problem, shat, grads, blocks)
+        assert_same_bits(_ranking_factors(problem, shat, grads, blocks), want)
