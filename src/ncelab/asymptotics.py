@@ -2,41 +2,38 @@
 
 For an M-estimator the asymptotic covariance of sqrt(n)(theta_hat -
 theta*) is the sandwich A^{-1} B A^{-1} with A the expected Hessian and B
-the score variance at the truth. For the ranking objective the two
-factors coincide,
+the score variance at the truth. Every such factor here is one sum,
 
-    A = B = E[grad shat grad shat^T] - W_K,
+    sum_x G_x^T W_x G_x    (``_sandwich``),
 
-where W_K is the expected outer product of the posterior-weighted
-candidate gradients, so the sandwich collapses to the inverse of a single
-"information" matrix.
+over the contexts x, with G_x the (m_y, d) gradient table of context x and
+W_x an (m_y, m_y) label weight; each estimator only builds its weights.
+With p = p(.|x):
 
-Both modes compute W_K and the score variance with one routine, as sums
-over the context x, the positive label u and the K negatives. The
-negatives are i.i.d. draws from p_N and the ranking loss is symmetric in
-them, so instead of the m_y**K ordered tuples the sum runs over count
-vectors c (c_j negatives carry label j, sum_j c_j = K). Exact mode takes
-all C(m_y+K-1, K) of them, each weighted by its multinomial probability
-K!/prod_j c_j! prod_j p_N(j)^{c_j}; the term budget counts these,
-m_x * C(m_y+K-1, K). Exact mode verifies the collapse numerically (the
-directly summed score variance must match within 1e-8) before trusting
-it, and records the gap on the report. Monte Carlo mode draws M count
-vectors from the multinomial, at weight 1/M each, and still sums x and
-u exactly, so only the negatives are sampled; repeated draws within a
-block are folded into one row at weight repeats/M, so the sum runs over
-the distinct vectors drawn. Its standard errors are batch means over
-MC_BATCHES batches.
+* MLE: A = B = the Fisher information, W_x = p_x (diag p - p p^T).
+* Ranking: A = B, so the sandwich collapses to the inverse of a single
+  "information" matrix. A has W_x = diag(p_xy[x]) - sum w pi pi^T and B
+  has W_x = sum w (e_u - pi)(e_u - pi)^T, summed over the positive label u
+  and the count vectors c of the K negatives at their weights w, where
+  pi = q e_u + r mass_c holds the posteriors of ``ranking_count_terms``.
+* Binary (a self-normalized truth), on the table [G_x, -1] of gradients
+  in (theta, gamma) and with sig the positive-class probability at the
+  truth: A has W_x = diag(p_xy[x] (1 - sig)) and B has
+  W_x = A's - (K+1)/K p_x c c^T with c = p (1 - sig). The theta block of
+  A^{-1} B A^{-1} is the asymptotic covariance of theta_hat.
 
-For the binary objective (which requires a self-normalized truth) the
-factors differ and the full sandwich is kept:
-
-    A = Wt_K = E_{p_XY}[(1 - sig) grad grad^T],
-    B = Wt_K - (K+1)/K * E_X[mu_x mu_x^T],
-    mu_x = E_{Y|X=x}[(1 - sig) grad],
-
-with gradients taken in (theta, gamma) and sig the positive-class
-probability at the truth. The theta block of A^{-1} B A^{-1} is the
-asymptotic covariance of theta_hat.
+The ranking negatives are i.i.d. draws from p_N and the ranking loss is
+symmetric in them, so instead of the m_y**K ordered tuples the sum runs
+over count vectors c (c_j negatives carry label j, sum_j c_j = K). Exact
+mode takes all C(m_y+K-1, K) of them, each weighted by its multinomial
+probability K!/prod_j c_j! prod_j p_N(j)^{c_j}; the term budget counts
+these, m_x * C(m_y+K-1, K). Exact mode verifies the collapse numerically
+(B must match A within 1e-8 times max(1, largest |entry| of A)) before
+trusting it, and records the gap on the report. Monte Carlo mode draws M count vectors from the multinomial,
+at weight 1/M each, and still sums x and u exactly, so only the negatives
+are sampled; repeated draws within a block are folded into one row at
+weight repeats/M, so the sum runs over the distinct vectors drawn. Its
+standard errors are batch means over MC_BATCHES batches.
 """
 
 from __future__ import annotations
@@ -125,11 +122,30 @@ class ReplicationSummary:
         }
 
 
+def _scaled(tol: float, m: np.ndarray) -> float:
+    """tol * max(1, largest |entry| of m): a bound that grows with m's entries, as their
+    rounding does, and stays tol for entries <= 1."""
+    return tol * max(1.0, float(np.max(np.abs(m))))
+
+
 def _symmetrize(m: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if asym > tol:
-        raise ValidationError(f"{what}: asymmetry {asym:.3e} exceeds {tol}")
+    """(m + m^T) / 2; raises if m's asymmetry exceeds ``_scaled(tol, m)``."""
+    if m.size:
+        asym, bound = float(np.max(np.abs(m - m.T))), _scaled(tol, m)
+        if asym > bound:
+            raise ValidationError(f"{what}: asymmetry {asym:.3e} exceeds {bound:.3e}")
     return 0.5 * (m + m.T)
+
+
+def _sandwich(grads: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_x G_x^T W_x G_x for G_x = grads[x] (m_y, d) and W_x = weights[x] (m_y, m_y);
+    non-optimized einsum, not BLAS, so the bits do not depend on the thread count."""
+    return np.einsum("xyd,xye->de", grads, np.einsum("xyz,xze->xye", weights, grads))
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """(..., m) -> (..., m, m), one diagonal matrix per row of v."""
+    return v[..., None] * np.eye(v.shape[-1])
 
 
 def invert_spd(m: np.ndarray, what: str) -> np.ndarray:
@@ -152,17 +168,9 @@ def fisher_information(
     so both readings coincide.
     """
     theta_star = check_params(theta_star, sf.n_params)
-    grads = sf.grad_table(theta_star)
-    cond = problem.p_y_given_x
-    mean = np.einsum("xy,xyd->xd", cond, grads)
-    second = np.einsum("xy,xyd,xye->xde", cond, grads, grads)
-    var = second - np.einsum("xd,xe->xde", mean, mean)
-    return _symmetrize(np.einsum("x,xde->de", problem.p_x, var), what="fisher information")
-
-
-def _pair_outer_expectation(problem, grads) -> np.ndarray:
-    """E_{p_XY}[ grad grad^T ]."""
-    return np.einsum("xy,xyd,xye->de", problem.p_xy, grads, grads)
+    p = problem.p_y_given_x
+    weights = problem.p_x[:, None, None] * (_diag(p) - p[:, :, None] * p[:, None, :])
+    return _symmetrize(_sandwich(sf.grad_table(theta_star), weights), what="fisher information")
 
 
 def ranking_asymptotic_cov(
@@ -192,34 +200,30 @@ def ranking_asymptotic_cov(
     theta_star = check_params(theta_star, sf.n_params)
     shat = _shifted_table(sf, theta_star, noise)
     grads = sf.grad_table(theta_star)
-    term1 = _pair_outer_expectation(problem, grads)
     collapse_gap = None
 
     if mode == "exact":
         check_term_budget(
             problem.m_x * math.comb(problem.m_y + k - 1, k), "ranking covariance"
         )
-        blocks = count_vectors(noise.log_probs, k)
-        w_mix, score_var = _ranking_factors(problem, shat, grads, blocks)
-        information = _symmetrize(term1 - w_mix, what="ranking information")
-        collapse_gap = float(np.max(np.abs(score_var - information)))
-        if collapse_gap > COLLAPSE_TOL:
+        hessian, score_var = _ranking_factors(problem, shat, count_vectors(noise.log_probs, k))
+        information = _symmetrize(_sandwich(grads, hessian), what="ranking information")
+        collapse_gap = float(np.max(np.abs(_sandwich(grads, score_var) - information)))
+        bound = _scaled(COLLAPSE_TOL, information)
+        if collapse_gap > bound:
             raise ValidationError(
-                "ranking covariance: expected-Hessian and score-variance factors "
-                f"disagree by {collapse_gap:.3e} (> {COLLAPSE_TOL}); the sandwich "
-                "does not collapse"
+                "ranking covariance: expected-Hessian and score-variance factors disagree by "
+                f"{collapse_gap:.3e} (> {bound:.3e}); the sandwich does not collapse"
             )
         stderr = None
     else:
         rng = derive_rng(seed, 7)
         sizes = np.diff(np.arange(MC_BATCHES + 1) * int(num_samples) // MC_BATCHES)
-        batch_means = np.array([
-            _ranking_factors(problem, shat, grads, sample_count_vectors(rng, noise, k, size))[0]
-            for size in sizes
-        ])
-        w_mix = batch_means.mean(axis=0)
+        hessians = (_ranking_factors(problem, shat, sample_count_vectors(rng, noise, k, size))[0]
+                    for size in sizes)
+        batch_means = np.array([_sandwich(grads, hessian) for hessian in hessians])
         stderr = batch_means.std(axis=0, ddof=1) / np.sqrt(MC_BATCHES)
-        information = _symmetrize(term1 - w_mix, tol=np.inf, what="ranking information")
+        information = _symmetrize(batch_means.mean(axis=0), tol=np.inf, what="ranking information")
 
     inverse = invert_spd(information, "ranking information")
     report = CovarianceReport(
@@ -234,30 +238,25 @@ def ranking_asymptotic_cov(
     return report
 
 
-def _ranking_factors(problem, shat, grads, blocks):
-    """W_K and the score variance E[(g_u - v)(g_u - v)^T], summed over every
-    context x and positive label u and over the count vectors c of
-    ``blocks`` at their weights, where g = grads[x] and
-    v = (e_u g_u + sum_j c_j e_j g_j) / (e_u + sum_j c_j e_j).
+def _ranking_factors(problem, shat, blocks):
+    """Label weights (m_x, m_y, m_y) of the ranking expected Hessian,
+    diag(p_xy[x]) - sum w pi pi^T, and score variance, sum w (e_u - pi)(e_u - pi)^T, over
+    each positive label u and the count vectors c of ``blocks`` at their weights w.
 
-    With the posteriors of ``ranking_count_terms``, v = q g_u + r h_c for
-    h = mass @ g, so both factors reduce to (m_y, M) weights:
-    sum w v v^T = g^T diag(sum_c w q^2) g + sym(g^T (w q r) h) + h^T diag(sum_u w r^2) h,
-    and the score variance likewise with 1 - q for q and -r for r.
+    With pi = q e_u + r mass_c from ``ranking_count_terms`` the sums reduce to (m_y, M) ones:
+    sum w pi pi^T = diag(sum_c w q^2) + sym((w q r) mass) + mass^T diag(sum_u w r^2) mass,
+    and the score variance's likewise with 1 - q for q and -r for r.
     """
-    d = grads.shape[2]
-    w_mix = np.zeros((d, d))
-    score_var = np.zeros((d, d))
+    hessian = _diag(problem.p_xy)
+    score_var = np.zeros_like(hessian)
     for x, w, _, q, r, mass in ranking_count_terms(problem, shat, blocks):
-        g = grads[x]
-        h = mass @ g
         wr = w * r
-        shared = (h.T * (wr * r).sum(axis=0)) @ h
-        mixed = g.T @ ((wr * q) @ h)
-        w_mix += (g.T * (w * q * q).sum(axis=1)) @ g + mixed + mixed.T + shared
-        mixed = g.T @ ((wr * (1.0 - q)) @ h)
-        score_var += (g.T * (w * (1.0 - q) ** 2).sum(axis=1)) @ g - mixed - mixed.T + shared
-    return w_mix, score_var
+        shared = (mass.T * (wr * r).sum(axis=0)) @ mass
+        mixed = (wr * q) @ mass
+        hessian[x] -= _diag((w * q * q).sum(axis=1)) + mixed + mixed.T + shared
+        mixed = (wr * (1.0 - q)) @ mass
+        score_var[x] += _diag((w * (1.0 - q) ** 2).sum(axis=1)) - mixed - mixed.T + shared
+    return hessian, score_var
 
 
 def _check_psd(report: CovarianceReport) -> None:
@@ -291,15 +290,13 @@ def binary_asymptotic_cov(
             f"sum_y exp(s - gamma*) deviates from 1 by {worst:.3e}"
         )
     sig = binary_logit(_shifted_table(sf, theta_star, noise), gamma_star, k)[1]
-    grads = sf.grad_table(theta_star)
     d = sf.n_params
-    ext = np.concatenate([grads, -np.ones((sf.m_x, sf.m_y, 1))], axis=2)
-    one_minus = 1.0 - sig
-    wt = np.einsum("xy,xy,xyd,xye->de", problem.p_xy, one_minus, ext, ext)
-    wt = _symmetrize(wt, what="binary expected Hessian")
-    mu = np.einsum("xy,xy,xyd->xd", problem.p_y_given_x, one_minus, ext)
-    mu_outer = np.einsum("x,xd,xe->de", problem.p_x, mu, mu)
-    var = wt - (k + 1.0) / k * mu_outer
+    ext = np.concatenate([sf.grad_table(theta_star), -np.ones((sf.m_x, sf.m_y, 1))], axis=2)
+    hessian = _diag(problem.p_xy * (1.0 - sig))
+    c = problem.p_y_given_x * (1.0 - sig)
+    wt = _symmetrize(_sandwich(ext, hessian), what="binary expected Hessian")
+    var = _sandwich(ext, hessian - (k + 1.0) / k * problem.p_x[:, None, None]
+                    * c[:, :, None] * c[:, None, :])
     wt_inv = invert_spd(wt, "binary expected Hessian")
     sandwich = wt_inv @ var @ wt_inv
     inverse = _symmetrize(sandwich[:d, :d], tol=1e-9, what="binary covariance")

@@ -1,6 +1,7 @@
 """Every name the package exports, and every public function, class and
 method it defines, has a caller in the package or the acceptance gate;
-and numpy is the only third-party package the command imports."""
+numpy is the only third-party package the command imports; and
+``asymptotics`` calls einsum only in its one second-order kernel."""
 
 import ast
 import os
@@ -71,6 +72,21 @@ def test_every_public_definition_has_a_caller():
         if name not in used
     ]
     assert unused == []
+
+
+def test_asymptotics_uses_einsum_only_in_its_one_kernel():
+    # every second-order factor is sum_x G_x^T W_x G_x through _sandwich; a factor spelled
+    # with its own einsum would bring back a second path to the same sums
+    tree = ast.parse((PACKAGE / "asymptotics.py").read_text(encoding="utf-8"))
+    (kernel,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_sandwich"]
+    inside = {id(n) for n in ast.walk(kernel)}
+    uses = [
+        n for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "einsum")
+        or (isinstance(n, ast.Name) and n.id == "einsum")
+    ]
+    assert uses
+    assert [n.lineno for n in uses if id(n) not in inside] == []
 
 
 def test_cli_import_loads_no_scipy():

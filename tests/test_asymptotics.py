@@ -36,7 +36,8 @@ from ncelab import (
     replicate,
 )
 from ncelab import asymptotics
-from ncelab.asymptotics import COLLAPSE_TOL, _ranking_factors
+from ncelab.asymptotics import COLLAPSE_TOL, _ranking_factors, _sandwich, _symmetrize
+from ncelab.cli import main
 from ncelab.objectives import _shifted_table, count_vectors, sample_count_vectors
 
 
@@ -199,13 +200,11 @@ class TestExactRankingByCountVectors:
         noise = NoiseDistribution(raw / raw.sum())
         shat = sf.score_table(ts) - noise.log_probs[None, :]
         grads = sf.grad_table(ts)
-        w_mix, score_var = _ranking_factors(
-            prob, shat, grads, count_vectors(noise.log_probs, k)
-        )
-        term1 = np.einsum("xy,xyd,xye->de", prob.p_xy, grads, grads)
+        hessian, score_var = _ranking_factors(prob, shat, count_vectors(noise.log_probs, k))
         info_ref, var_ref = brute_force_ranking_factors(prob, sf, ts, noise, k)
-        assert np.max(np.abs(term1 - w_mix - info_ref)) <= 1e-12 * np.max(np.abs(info_ref))
-        assert np.max(np.abs(score_var - var_ref)) <= 1e-12 * np.max(np.abs(var_ref))
+        info, var = _sandwich(grads, hessian), _sandwich(grads, score_var)
+        assert np.max(np.abs(info - info_ref)) <= 1e-12 * np.max(np.abs(info_ref))
+        assert np.max(np.abs(var - var_ref)) <= 1e-12 * np.max(np.abs(var_ref))
         report = ranking_asymptotic_cov(prob, sf, ts, noise, k, mode="exact")
         np.testing.assert_allclose(report.information, info_ref, rtol=0, atol=1e-12)
 
@@ -243,7 +242,6 @@ class TestRankingFactorBlocks:
         noise = NoiseDistribution(raw / raw.sum())
         k = 5
         shat = _shifted_table(sf, ts, noise)
-        grads = sf.grad_table(ts)
         every = list(count_vectors(noise.log_probs, k, block=1 << 16))
         assert len(every) == 1  # C(8, 5) = 56 count vectors in one block
         (counts, _), = every
@@ -254,10 +252,10 @@ class TestRankingFactorBlocks:
                    * np.prod(noise.probs ** row))
             for row in counts
         ])
-        want = _ranking_factors(prob, shat, grads, [(counts, log_weight)])
+        want = _ranking_factors(prob, shat, [(counts, log_weight)])
         for block in (1, 4, 9, 40):
             got = _ranking_factors(
-                prob, shat, grads, count_vectors(noise.log_probs, k, block=block)
+                prob, shat, count_vectors(noise.log_probs, k, block=block)
             )
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
@@ -268,7 +266,6 @@ class TestRankingFactorBlocks:
         sf, ts = prob.scoring, prob.theta_star
         noise = NoiseDistribution.uniform(4)
         shat = _shifted_table(sf, ts, noise)
-        grads = sf.grad_table(ts)
         size, rows = 20_000, (1 << 16) // 4  # blocks of 16384 and 3616 draws
         rng = np.random.default_rng(4)
         unfolded = [
@@ -280,8 +277,8 @@ class TestRankingFactorBlocks:
         ]
         folded = list(sample_count_vectors(np.random.default_rng(4), noise, k, size))
         assert sum(len(counts) for counts, _ in folded) < size
-        want = _ranking_factors(prob, shat, grads, unfolded)
-        got = _ranking_factors(prob, shat, grads, folded)
+        want = _ranking_factors(prob, shat, unfolded)
+        got = _ranking_factors(prob, shat, folded)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
@@ -491,6 +488,81 @@ class TestAsymptoticCov:
         for estimator in ("mle", "ranking", "binary"):
             with pytest.raises(ValidationError, match="needs a problem with theta_star"):
                 asymptotic_cov(bare, estimator, noise, 2)
+
+
+def scaled_problem(problem, c):
+    """The same conditional law with features times c and theta* / c."""
+    return problem_from_scores(
+        LinearFeatures(problem.scoring.features * c), problem.theta_star / c, problem.p_x,
+        gamma_star=problem.gamma_star,
+    )
+
+
+class TestScaleRelativeSymmetry:
+    """Second-order factors scale with the features, and so does their rounding: the
+    symmetry check holds at any scale and still refuses a truly asymmetric matrix."""
+
+    @pytest.mark.parametrize("c", [1e3, 1e4])
+    def test_fisher_and_ranking_information_scale_by_c_squared(self, c):
+        base = random_tabular_problem(5, 6, 4, seed=3)
+        noise = NoiseDistribution.uniform(6)
+        for estimator, k in (("mle", 1), ("ranking", 3)):
+            want = c**2 * asymptotic_cov(base, estimator, noise, k).information
+            got = asymptotic_cov(scaled_problem(base, c), estimator, noise, k).information
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("c", [1e3, 1e4])
+    def test_binary_covariance_scales_by_inverse_c_squared(self, c):
+        base = make_self_normalized_problem(6, 4, 3, seed=38)
+        noise = NoiseDistribution.uniform(4)
+        want = asymptotic_cov(base, "binary", noise, 4).inverse / c**2
+        got = asymptotic_cov(scaled_problem(base, c), "binary", noise, 4).inverse
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cli_runs_on_the_scaled_problem(self, tmp_path):
+        path = tmp_path / "scaled.json"
+        scaled_problem(random_tabular_problem(5, 6, 4, seed=3), 1e3).save(path)
+        for estimator in ("mle", "ranking"):
+            assert main(["asymptotics", "--problem", str(path), "--estimator", estimator,
+                         "--K", "1,2", "--out", str(tmp_path / f"{estimator}.csv")]) == 0
+
+    def test_asymmetry_still_raises(self):
+        for m in (np.array([[1e6, 1.0], [0.0, 1e6]]), np.array([[1.0, 1e-9], [0.0, 1.0]])):
+            with pytest.raises(ValidationError, match="asymmetry"):
+                _symmetrize(m)
+        np.testing.assert_array_equal(_symmetrize(np.array([[1e6, 1e-5], [0.0, 1e6]])),
+                                      [[1e6, 5e-6], [5e-6, 1e6]])
+
+
+class TestCollapseCheck:
+    @staticmethod
+    def offset_score_variance(monkeypatch):
+        """Offset the exact-mode score-variance weights on context 0, so B no longer equals A."""
+        real = asymptotics._ranking_factors
+
+        def offset(problem, shat, blocks):
+            hessian, score_var = real(problem, shat, blocks)
+            score_var[0] += 1e-3 * np.eye(problem.m_y)
+            return hessian, score_var
+
+        monkeypatch.setattr(asymptotics, "_ranking_factors", offset)
+
+    def test_a_sandwich_that_does_not_collapse_raises(self, monkeypatch):
+        prob = make_self_normalized_problem(6, 4, 3, seed=38)
+        noise = NoiseDistribution.uniform(4)
+        self.offset_score_variance(monkeypatch)
+        with pytest.raises(ValidationError, match="does not collapse"):
+            ranking_asymptotic_cov(prob, prob.scoring, prob.theta_star, noise, 2)
+
+    def test_cli_exits_2_and_writes_nothing(self, monkeypatch, tmp_path):
+        path = tmp_path / "sn.json"
+        make_self_normalized_problem(6, 4, 3, seed=38).save(path)
+        out = tmp_path / "out"
+        out.mkdir()
+        self.offset_score_variance(monkeypatch)
+        assert main(["asymptotics", "--problem", str(path), "--estimator", "ranking",
+                     "--K", "1,2", "--out", str(out / "rates.csv")]) == 2
+        assert list(out.iterdir()) == []
 
 
 class TestReplicate:

@@ -685,6 +685,14 @@ MALFORMED_INPUTS = {
     "asymptotics-softmax-k-0": lambda tmp: [
         "asymptotics", "--problem", tmp / "problem.json", "--K", 0,
     ],
+    "asymptotics-mode-mc-abc": lambda tmp: [
+        "asymptotics", "--problem", tmp / "problem.json", "--mode", "mc:abc",
+    ],
+    "asymptotics-mode-foo": lambda tmp: [
+        "asymptotics", "--problem", tmp / "problem.json", "--mode", "foo",
+    ],
+    "replicate-one-replication": lambda tmp: [*_features_problem(tmp)[:-2], "--replications", 1],
+    "lm-order-1": lambda tmp: ["lm", "--order", 1],
     # the bounds check runs before the regularizer's workspace is built
     "fit-dataset-x-out-of-range-reg": lambda tmp: _dataset_file(
         tmp, [{"x": 6, "y": 1, "neg": [0, 1]}]

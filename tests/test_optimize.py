@@ -110,6 +110,15 @@ class TestFitMechanics:
         assert a.trace == b.trace
         assert a.config_digest == b.config_digest
 
+    @pytest.mark.parametrize("y", [[-1.0, 0.0], [0.0, 0.0]], ids=["downhill", "nan-slope"])
+    def test_search_direction_clears_memory_unless_uphill(self, y):
+        # s.y < 0 turns the two-loop direction downhill; y = 0 scales it by 0/0
+        grad = np.array([3.0, 4.0])
+        pairs = [(np.array([1.0, 0.0]), np.array(y), -1.0)]
+        with np.errstate(invalid="ignore"):
+            direction, slope = optimize._search_direction(grad, 5.0, pairs)
+        assert direction is grad and slope == 25.0 and pairs == []
+
     def test_converged_implies_grad_below_tol(self):
         p = counterexample_problem()
         noise = NoiseDistribution.uniform(2)
