@@ -247,16 +247,18 @@ def _ranking_factors(problem, shat, blocks):
     sum w pi pi^T = diag(sum_c w q^2) + sym((w q r) mass) + mass^T diag(sum_u w r^2) mass,
     and the score variance's likewise with 1 - q for q and -r for r.
     """
-    hessian = _diag(problem.p_xy)
-    score_var = np.zeros_like(hessian)
+    hessian, score_var = np.zeros((2, problem.m_x, problem.m_y, problem.m_y))
+    hessian_diag, score_var_diag = problem.p_xy.copy(), np.zeros_like(problem.p_xy)
     for x, w, _, q, r, mass in ranking_count_terms(problem, shat, blocks):
         wr = w * r
         shared = (mass.T * (wr * r).sum(axis=0)) @ mass
         mixed = (wr * q) @ mass
-        hessian[x] -= _diag((w * q * q).sum(axis=1)) + mixed + mixed.T + shared
+        hessian[x] -= mixed + mixed.T + shared
+        hessian_diag[x] -= (w * q * q).sum(axis=1)
         mixed = (wr * (1.0 - q)) @ mass
-        score_var[x] += _diag((w * (1.0 - q) ** 2).sum(axis=1)) - mixed - mixed.T + shared
-    return hessian, score_var
+        score_var[x] += shared - mixed - mixed.T
+        score_var_diag[x] += (w * (1.0 - q) ** 2).sum(axis=1)
+    return hessian + _diag(hessian_diag), score_var + _diag(score_var_diag)
 
 
 def _check_psd(report: CovarianceReport) -> None:
